@@ -12,7 +12,6 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     sequences_abc,
-    weight,
 )
 from .polyring import Poly, parse_poly
 from .wreath import (
@@ -25,7 +24,7 @@ from .wreath import (
     parse_element,
     taylor_comm,
 )
-from .liering import LieElement, bracket, parse_lie, phi, phi_set, tdeg_lie
+from .liering import LieElement, bracket, parse_lie, phi, phi_set
 from .chains import (
     ChainReport,
     SaturatedSet,
@@ -69,7 +68,6 @@ __all__ = [
     "tdeg_of_monomial",
     "enumerate_partitions",
     "sequences_abc",
-    "weight",
     "comm",
     "comm_formula",
     "taylor_comm",
@@ -78,7 +76,6 @@ __all__ = [
     "bracket",
     "phi",
     "phi_set",
-    "tdeg_lie",
     "h_func",
     "r_func",
     "wdd",

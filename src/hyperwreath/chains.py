@@ -88,9 +88,6 @@ class SaturatedSet:
             return False
         return all(self.contains_monomial(m) for m in g.decompose())
 
-    def sorted_members(self) -> List[MonomialElement]:
-        return sorted(self.basis, key=lambda m: m.tdeg(), reverse=True)
-
     def lie_keys(self) -> FrozenSet[LieKey]:
         return phi_set(self.basis)
 
@@ -395,7 +392,7 @@ def normalizes(b: MonomialElement, H: SaturatedSet) -> Optional[bool]:
         raise ValueError("mismatched n")
     conclusive_false = False
     any_unknown = False
-    for m in H.sorted_members():
+    for m in H.basis:
         if m.layer == b.layer:
             continue
         for part in comm_constituents(b, m):

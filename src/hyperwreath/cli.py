@@ -7,27 +7,14 @@ or configuration error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import chains, liering, verify, wreath
 from .ordinals import OrdinalCNF
 from .polyring import parse_poly
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: Optional[int] = None
-    i_max: int = 12
-    wt_bound: Optional[int] = None
-    radius: int = 2
-    c_range: Tuple[int, int] = (-3, 3)
-    seed: int = 0
-    fmt: str = "text"
-    out: Optional[str] = None
 
 
 # -- calculator -----------------------------------------------------------------
@@ -158,60 +145,104 @@ def eval_expression(text: str, n: int) -> CalcValue:
     return result
 
 
-def render_value(value: CalcValue) -> str:
-    return value.render()
-
-
 # -- commands --------------------------------------------------------------------
 
+# The options each verify suite takes, as argparse dests.  A suite function's
+# keyword defaults are the only defaults: an option is passed on only when set.
+SUITE_OPTIONS: Dict[str, Tuple[str, ...]] = {
+    "group": ("n",),
+    "formulas": ("n",),
+    "phi": ("n",),
+    "centers": ("n",),
+    "chain": ("n", "imax", "wt_bound"),
+    "regular": ("n", "radius", "c_range"),
+}
 
-def _emit(text: str, out: Optional[str]) -> None:
+# argparse dest -> suite keyword
+_SUITE_KEYWORDS = {"n": "ns", "imax": "i_max", "wt_bound": "wt_bound", "radius": "radius",
+                   "c_range": "c_range"}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _emit(text: str, out: Optional[str]) -> bool:
+    """Write ``text`` to the file ``out`` or to stdout; False after reporting
+    an error when the file cannot be written."""
     if not text.endswith("\n"):
         text += "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
-def cmd_chain(cfg: RunConfig) -> int:
-    if cfg.n is None or cfg.n < 2:
-        print("error: chain requires --n >= 2", file=sys.stderr)
-        return 2
-    if cfg.i_max < 1:
-        print("error: chain requires --imax >= 1", file=sys.stderr)
-        return 2
-    report = chains.verify_growth(cfg.n, cfg.i_max)
-    if cfg.fmt == "json":
-        _emit(report.to_json(), cfg.out)
-    elif cfg.fmt == "csv":
-        _emit(report.to_csv(), cfg.out)
+def cmd_chain(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        return _usage_error("chain requires --n >= 2")
+    if args.imax < 1:
+        return _usage_error("chain requires --imax >= 1")
+    report = chains.verify_growth(args.n, args.imax)
+    if args.format == "json":
+        text = report.to_json()
+    elif args.format == "csv":
+        text = report.to_csv()
     else:
-        _emit(report.to_text(), cfg.out)
+        text = report.to_text()
+    if not _emit(text, args.out):
+        return 2
     return 0 if report.all_match else 1
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
+def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str]:
+    """Why ``options`` (the set suite options) cannot run ``suite``, or None."""
+    if suite == "all":
+        if options:
+            return (f"--suite all runs every suite at its defaults and takes no "
+                    f"{', '.join(_flag(d) for d in options)}")
+        return None
+    rejected = [d for d in options if d not in SUITE_OPTIONS[suite]]
+    if rejected:
+        takes = ", ".join(_flag(d) for d in SUITE_OPTIONS[suite])
+        return (f"suite {suite} does not take {', '.join(_flag(d) for d in rejected)} "
+                f"(it takes {takes})")
+    for dest, least in (("n", 2), ("imax", 1), ("radius", 1)):
+        if dest in options and options[dest] < least:
+            return f"{_flag(dest)} must be >= {least}"
+    if "wt_bound" in options:
+        params = inspect.signature(verify.SUITES[suite]).parameters
+        ns = (options["n"],) if "n" in options else params["ns"].default
+        i_max = options.get("imax", params["i_max"].default)
+        # the check saturated_closure makes on the heaviest generator of step i_max - 1
+        floor = max(m.wt for n in ns for m in chains.enumerate_N(i_max - 1, n).basis)
+        if options["wt_bound"] < floor:
+            return f"--wt-bound must be >= {floor}, the heaviest generator before step --imax"
+    return None
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    suite = args.suite
     if suite != "all" and suite not in verify.SUITES:
-        print(f"error: unknown suite {suite!r}; choose from "
-              f"{', '.join(sorted(verify.SUITES))} or all", file=sys.stderr)
-        return 2
-    kwargs = {}
-    if suite == "chain":
-        if cfg.n is not None:
-            kwargs["ns"] = (cfg.n,)
-        kwargs["i_max"] = cfg.i_max
-        if cfg.wt_bound is not None:
-            kwargs["wt_bound"] = cfg.wt_bound
-    if suite == "regular":
-        kwargs["c_range"] = cfg.c_range
-        kwargs["radius"] = cfg.radius
-        if cfg.n is not None:
-            kwargs["ns"] = (cfg.n,)
-    if suite in ("group", "formulas", "phi", "centers") and cfg.n is not None:
-        kwargs["ns"] = (cfg.n,)
-    results = verify.run_suite(suite, cfg.seed, **kwargs)
+        return _usage_error(f"unknown suite {suite!r}; choose from "
+                            f"{', '.join(sorted(verify.SUITES))} or all")
+    options = {d: getattr(args, d) for d in _SUITE_KEYWORDS if getattr(args, d) is not None}
+    problem = _verify_config_error(suite, options)
+    if problem:
+        return _usage_error(problem)
+    kwargs = {_SUITE_KEYWORDS[d]: (v,) if d == "n" else v for d, v in options.items()}
+    results = verify.run_suite(suite, args.seed, **kwargs)
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -220,21 +251,19 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     ok = all(r.passed for r in results)
     lines.append(f"{'all properties hold' if ok else 'FAILURES present'} "
                  f"({sum(r.passed for r in results)}/{len(results)})")
-    _emit("\n".join(lines), cfg.out)
+    if not _emit("\n".join(lines), args.out):
+        return 2
     return 0 if ok else 1
 
 
-def cmd_calc(cfg: RunConfig, expr: str) -> int:
-    if cfg.n is None or cfg.n < 2:
-        print("error: calc requires --n >= 2", file=sys.stderr)
-        return 2
+def cmd_calc(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        return _usage_error("calc requires --n >= 2")
     try:
-        value = eval_expression(expr, cfg.n)
+        value = eval_expression(args.expr, args.n)
     except CalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(render_value(value), cfg.out)
-    return 0
+        return _usage_error(str(exc))
+    return 0 if _emit(value.render(), args.out) else 2
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -268,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--imax", type=int, default=6)
+    p_verify.add_argument("--imax", type=int, default=None)
     p_verify.add_argument("--wt-bound", type=int, default=None)
-    p_verify.add_argument("--radius", type=int, default=2)
-    p_verify.add_argument("--c-range", type=_parse_c_range, default=(-3, 3))
+    p_verify.add_argument("--radius", type=int, default=None)
+    p_verify.add_argument("--c-range", type=_parse_c_range, default=None)
     p_verify.add_argument("--out", default=None)
 
     p_calc = sub.add_parser("calc", help="evaluate an element expression")
@@ -303,28 +332,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     if args.command == "chain":
-        cfg = RunConfig(
-            command="chain",
-            n=args.n,
-            i_max=args.imax,
-            fmt=args.format,
-            out=args.out,
-        )
-        return cmd_chain(cfg)
+        return cmd_chain(args)
     if args.command == "verify":
-        cfg = RunConfig(
-            command="verify",
-            n=args.n,
-            i_max=args.imax,
-            wt_bound=args.wt_bound,
-            radius=args.radius,
-            c_range=args.c_range,
-            seed=args.seed,
-            out=args.out,
-        )
-        return cmd_verify(cfg, args.suite)
-    cfg = RunConfig(command="calc", n=args.n, out=args.out)
-    return cmd_calc(cfg, args.expr)
+        return cmd_verify(args)
+    return cmd_calc(args)
 
 
 if __name__ == "__main__":

@@ -189,11 +189,6 @@ def phi_set(monomials: Iterable[MonomialElement]) -> FrozenSet[LieKey]:
     return frozenset(m.lie_key() for m in monomials)
 
 
-def tdeg_lie(lam: Partition, k: int, n: int) -> OrdinalCNF:
-    """Transfinite degree of a basis element; same grading as on the group side."""
-    return tdeg_of_monomial(lam, k, n)
-
-
 _LIE_TERM_RE = re.compile(r"^\s*(.*?)\s*d(\d+)\s*$")
 
 

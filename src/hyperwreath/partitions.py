@@ -101,11 +101,6 @@ class Partition:
 EMPTY = Partition()
 
 
-def weight(p: Partition) -> int:
-    """Weight of a partition: the integer it partitions."""
-    return p.weight
-
-
 def enumerate_partitions(
     wt: int, num_parts: Optional[int] = None, max_part: Optional[int] = None
 ) -> List[Partition]:

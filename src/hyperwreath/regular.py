@@ -96,7 +96,7 @@ def is_normal_in_N0(family: RegularFamily) -> bool:
     generator inside the family (checked on both conjugation sides).
     """
     n = family.n
-    for s_mon in enumerate_N(0, n).sorted_members():
+    for s_mon in enumerate_N(0, n).basis:
         s = s_mon.to_group()
         s_inv = s.inverse()
         for t in family.generators:

@@ -6,9 +6,7 @@ pass/fail results; the CLI renders them and turns failures into exit codes.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -23,16 +21,6 @@ class PropertyResult:
     name: str
     passed: bool
     detail: str = ""
-
-
-def max_workers() -> int:
-    """Worker cap from the HYPERWREATH_THREADS environment variable (default 1)."""
-    raw = os.environ.get("HYPERWREATH_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
 
 
 # -- random generators ---------------------------------------------------------
@@ -284,17 +272,7 @@ def suite_chain(
     """Normalizer chain steps plus the growth law and the idealizer mirror."""
     results: List[PropertyResult] = []
     jobs: List[Tuple[int, int]] = [(n, i) for n in ns for i in range(1, i_max + 1)]
-
-    def run(job: Tuple[int, int]) -> chains.ChainStepCheck:
-        n, i = job
-        return chains.check_chain_step(n, i, wt_bound=wt_bound)
-
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            steps = list(pool.map(run, jobs))
-    else:
-        steps = [run(job) for job in jobs]
+    steps = [chains.check_chain_step(n, i, wt_bound=wt_bound) for n, i in jobs]
     for (n, i), step in zip(jobs, steps):
         detail = ""
         if not step.ok:

@@ -256,22 +256,6 @@ class GroupElement:
         return self.render()
 
 
-def mul(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g * h
-
-
-def inv(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
-def act(g: GroupElement, x: Sequence[int]) -> Tuple[int, ...]:
-    return g.act(x)
-
-
-def scalar_mul(d: int, g: GroupElement) -> GroupElement:
-    return g.scalar_mul(d)
-
-
 def comm(g: GroupElement, h: GroupElement) -> GroupElement:
     """Commutator g^-1 h^-1 g h."""
     return g.inverse() * h.inverse() * g * h

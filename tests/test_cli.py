@@ -93,6 +93,33 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --suite regular --n 1",
+        "verify --suite chain --n 1",
+        "verify --suite formulas --n 1",
+        "verify --suite group --n 0",
+        "verify --suite chain --wt-bound 1",
+        "verify --suite chain --imax 0",
+        "verify --suite regular --radius 0",
+        "chain --n 3 --imax 2 --out /nonexistent/x.json",
+        "verify --suite group --radius 3",
+        "verify --suite all --n 3",
+        "verify --suite all --imax 2",
+        "verify --suite all --wt-bound 9",
+        "verify --suite all --radius 1",
+        "verify --suite all --c-range 0..1",
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_bad_c_range(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "regular", "--c-range", "oops")
     assert code == 2

@@ -11,10 +11,8 @@ from hyperwreath.liering import (
     parse_lie,
     phi,
     phi_set,
-    tdeg_lie,
 )
 from hyperwreath.chains import enumerate_N
-from hyperwreath.ordinals import ZERO, OrdinalCNF
 from hyperwreath.partitions import EMPTY, Partition
 from hyperwreath.polyring import Poly
 from hyperwreath.verify import random_monomial
@@ -94,13 +92,6 @@ def test_phi_set_examples():
     n0 = enumerate_N(0, n).basis
     assert len(phi_set(n0)) == len(n0) == 6
     assert phi_set([]) == frozenset()
-
-
-def test_tdeg_lie_examples():
-    n = 4
-    assert tdeg_lie(EMPTY, n, n) == ZERO
-    assert tdeg_lie(Partition.from_parts([1]), n, n) == OrdinalCNF.from_int(1)
-    assert tdeg_lie(EMPTY, n - 1, n) == OrdinalCNF.omega_power(n - 1)
 
 
 def test_bracket_drops_tdeg_across_layers():

@@ -62,6 +62,7 @@ def test_tdeg_examples():
     assert tdeg_of_monomial(EMPTY, 4, 4) == ZERO
     lam = Partition.from_parts([1, 1, 2])
     assert tdeg_of_monomial(lam, 4, 4) == OrdinalCNF(((1, 1), (0, 2)))
+    assert tdeg_of_monomial(Partition.from_parts([1]), 4, 4) == OrdinalCNF.from_int(1)
     assert tdeg_of_monomial(EMPTY, 3, 4) == OrdinalCNF.omega_power(3)
 
 

@@ -11,7 +11,6 @@ from hyperwreath.partitions import (
     enumerate_partitions,
     seq_at,
     sequences_abc,
-    weight,
 )
 
 
@@ -35,9 +34,9 @@ def brute_partitions(total, max_part=None):
 
 
 def test_weight_examples():
-    assert weight(EMPTY) == 0
-    assert weight(Partition.from_parts([1, 1, 2])) == 4
-    assert weight(Partition.from_parts([3, 3, 3])) == 9
+    assert EMPTY.weight == 0
+    assert Partition.from_parts([1, 1, 2]).weight == 4
+    assert Partition.from_parts([3, 3, 3]).weight == 9
 
 
 def test_multiplicity_and_parts_round_trip():

@@ -1,30 +1,13 @@
-"""Suite registry, determinism, and the worker-cap environment variable."""
+"""Suite registry, determinism and the chain suite."""
 
 import pytest
 
 from hyperwreath import verify
 
 
-def test_max_workers_parsing(monkeypatch):
-    monkeypatch.delenv("HYPERWREATH_THREADS", raising=False)
-    assert verify.max_workers() == 1
-    monkeypatch.setenv("HYPERWREATH_THREADS", "4")
-    assert verify.max_workers() == 4
-    monkeypatch.setenv("HYPERWREATH_THREADS", "0")
-    assert verify.max_workers() == 1
-    monkeypatch.setenv("HYPERWREATH_THREADS", "garbage")
-    assert verify.max_workers() == 1
-
-
-def test_chain_suite_is_deterministic_under_threads(monkeypatch):
-    monkeypatch.delenv("HYPERWREATH_THREADS", raising=False)
-    serial = verify.suite_chain(0, ns=(3,), i_max=2)
-    monkeypatch.setenv("HYPERWREATH_THREADS", "3")
-    threaded = verify.suite_chain(0, ns=(3,), i_max=2)
-    assert [(r.name, r.passed) for r in serial] == [
-        (r.name, r.passed) for r in threaded
-    ]
-    assert all(r.passed for r in serial)
+def test_chain_suite_passes():
+    results = verify.suite_chain(0, ns=(3,), i_max=2)
+    assert results and all(r.passed for r in results)
 
 
 def test_run_suite_all_aggregates():
