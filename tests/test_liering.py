@@ -13,6 +13,7 @@ from hyperwreath.liering import (
     phi_set,
 )
 from hyperwreath.chains import enumerate_N
+from hyperwreath.ordinals import ZERO, OrdinalCNF
 from hyperwreath.partitions import EMPTY, Partition
 from hyperwreath.polyring import Poly
 from hyperwreath.verify import random_monomial
@@ -92,6 +93,13 @@ def test_phi_set_examples():
     n0 = enumerate_N(0, n).basis
     assert len(phi_set(n0)) == len(n0) == 6
     assert phi_set([]) == frozenset()
+
+
+def test_tdeg_lie_examples():
+    n = 4
+    assert LieElement.basis(EMPTY, n, n).tdeg() == ZERO
+    assert LieElement.basis(Partition.from_parts([1]), n, n).tdeg() == OrdinalCNF.from_int(1)
+    assert LieElement.basis(EMPTY, n - 1, n).tdeg() == OrdinalCNF.omega_power(n - 1)
 
 
 def test_bracket_drops_tdeg_across_layers():
