@@ -13,10 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .liering import LieKey, bracket_keys, phi_set
+from .liering import LieKey, bracket_keys
 from .ordinals import OrdinalCNF
 from .partitions import EMPTY, Partition, enumerate_partitions, seq_at, sequences_abc
 from .polyring import Poly
@@ -55,6 +57,36 @@ def lev(i: int, m: MonomialElement) -> int:
 # -- saturated sets ----------------------------------------------------------
 
 
+class _KeyIndex:
+    """A set of Lie keys indexed by layer and by part, so that a key visits
+    only the members it has a nontrivial commutator with."""
+
+    def __init__(self, keys: Iterable[LieKey]):
+        self.keys: Set[LieKey] = set()
+        self.by_layer: Dict[int, List[LieKey]] = defaultdict(list)
+        self.by_part: Dict[int, List[LieKey]] = defaultdict(list)
+        for key in keys:
+            self.add(key)
+
+    def add(self, key: LieKey) -> None:
+        lam, k = key
+        self.keys.add(key)
+        self.by_layer[k].append(key)
+        for part, mult in enumerate(lam.mults, 1):
+            if mult:
+                self.by_part[part].append(key)
+
+    def partners(self, key: LieKey) -> Iterator[LieKey]:
+        """Members ``(theta, u)`` meeting ``(lam, k)``: the lower layers ``u``
+        that are parts of ``lam``, and the higher members with a part ``k``
+        (a partition in layer ``u`` has parts below ``u`` only)."""
+        lam, k = key
+        for u, mult in enumerate(lam.mults, 1):
+            if mult:
+                yield from self.by_layer.get(u, ())
+        yield from self.by_part.get(k, ())
+
+
 @dataclass(frozen=True)
 class SaturatedSet:
     """A finite basis of monic monomials, optionally a weight-bounded closure.
@@ -79,6 +111,10 @@ class SaturatedSet:
     def __len__(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _index(self) -> _KeyIndex:
+        return _KeyIndex(m.lie_key() for m in self.basis)
+
     def contains_monomial(self, m: MonomialElement) -> bool:
         return m.monic_part() in self.basis
 
@@ -89,7 +125,7 @@ class SaturatedSet:
         return all(self.contains_monomial(m) for m in g.decompose())
 
     def lie_keys(self) -> FrozenSet[LieKey]:
-        return phi_set(self.basis)
+        return frozenset(self._index.keys)
 
 
 # -- generator enumeration -----------------------------------------------------
@@ -324,6 +360,30 @@ def comm_constituents(a: MonomialElement, b: MonomialElement) -> List[MonomialEl
     return g.decompose()
 
 
+def constituent_keys(a: LieKey, b: LieKey) -> List[LieKey]:
+    """Lie keys of the monic constituents of the commutator of two monomial
+    elements with keys ``a`` and ``b``, whatever their coefficients.
+
+    For layers k > u, ``[x^lam D_k, x^theta D_u]`` is the difference of
+    ``x^lam`` along x_u with increment ``x^theta``: its s-th term is
+    ``c_a c_b^s C(m, s) x^(lam - s e_u + s theta) D_k`` for s = 1..m, with
+    m = mult_u(lam).  No coefficient is 0 over the integers, and theta has no
+    part u, so the s give distinct keys and nothing cancels.  For k < u the
+    roles swap; equal layers commute.  ``comm_constituents`` is the
+    polynomial route to the same keys.
+    """
+    (lam, k), (theta, u) = a, b
+    if k == u:
+        return []
+    if k < u:
+        (lam, k), (theta, u) = b, a
+    out: List[LieKey] = []
+    for _ in range(lam.multiplicity(u)):
+        lam = lam.remove_part(u).combine(theta)
+        out.append((lam, k))
+    return out
+
+
 def saturated_closure(
     gens: Iterable[MonomialElement], wt_bound: int, n: Optional[int] = None
 ) -> SaturatedSet:
@@ -336,41 +396,43 @@ def saturated_closure(
     """
     if isinstance(gens, SaturatedSet):
         n = gens.n
-        members = set(gens.basis)
+        monics = set(gens.basis)
     else:
-        members = {m.monic_part() for m in gens}
+        monics = {m.monic_part() for m in gens}
         if n is None:
-            if not members:
+            if not monics:
                 raise ValueError("cannot infer n from an empty generator set")
-            n = next(iter(members)).n
-    if members and wt_bound < max(m.wt for m in members):
+            n = next(iter(monics)).n
+    if monics and wt_bound < max(m.wt for m in monics):
         raise ValueError("wt_bound is below the heaviest generator")
-    discarded: Set[MonomialElement] = set()
-    frontier = set(members)
+    members = _KeyIndex(m.lie_key() for m in monics)
+    discarded: Set[LieKey] = set()
+    frontier = set(members.keys)
     rounds = 0
     while frontier:
         rounds += 1
         if rounds > 10_000:
             raise RuntimeError("closure did not stabilize; bound too small?")
-        new: Set[MonomialElement] = set()
+        new: Set[LieKey] = set()
         for a in frontier:
-            for b in members:
-                if a.layer == b.layer:
-                    continue
-                # the reversed commutator is the inverse and has the same
-                # monic constituents, so one order suffices
-                for m in comm_constituents(a, b):
-                    monic = m.monic_part()
-                    if monic in members or monic in new:
+            # the reversed commutator is the inverse and has the same
+            # monic constituents, so one order suffices
+            for b in members.partners(a):
+                for key in constituent_keys(a, b):
+                    if key in members.keys or key in new:
                         continue
-                    if monic.wt > wt_bound:
-                        discarded.add(monic)
+                    if key[0].weight > wt_bound:
+                        discarded.add(key)
                     else:
-                        new.add(monic)
-        members |= new
+                        new.add(key)
+        for key in new:
+            members.add(key)
         frontier = new
     return SaturatedSet(
-        n=n, basis=frozenset(members), closure_bound=wt_bound, discards=len(discarded)
+        n=n,
+        basis=frozenset(MonomialElement(1, lam, k, n) for lam, k in members.keys),
+        closure_bound=wt_bound,
+        discards=len(discarded),
     )
 
 
@@ -390,24 +452,20 @@ def normalizes(b: MonomialElement, H: SaturatedSet) -> Optional[bool]:
         raise ValueError("normalizes requires a closed SaturatedSet")
     if b.n != H.n:
         raise ValueError("mismatched n")
-    conclusive_false = False
+    index = H._index
+    key = b.lie_key()
     any_unknown = False
-    for m in H.basis:
-        if m.layer == b.layer:
-            continue
-        for part in comm_constituents(b, m):
-            monic = part.monic_part()
-            if monic in H.basis:
+    for other in index.partners(key):
+        for out in constituent_keys(key, other):
+            if out in index.keys:
                 continue
-            if part.wt > H.closure_bound or H.discards > 0:
+            if H.discards > 0:
+                return None  # no escape can be conclusive against a lossy basis
+            if out[0].weight > H.closure_bound:
                 any_unknown = True
             else:
-                conclusive_false = True
-    if conclusive_false:
-        return False
-    if any_unknown:
-        return None
-    return True
+                return False
+    return None if any_unknown else True
 
 
 def idealizes(key: LieKey, h_keys: FrozenSet[LieKey], n: int) -> bool:

@@ -8,6 +8,7 @@ all read off directly.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, List, Optional, Tuple
 
 
@@ -73,9 +74,8 @@ class Partition:
 
     def combine(self, other: "Partition") -> "Partition":
         """Multiset union: adds multiplicities (product of power monomials)."""
-        n = max(len(self.mults), len(other.mults))
         return Partition(
-            tuple(self.multiplicity(i + 1) + other.multiplicity(i + 1) for i in range(n))
+            a + b for a, b in zip_longest(self.mults, other.mults, fillvalue=0)
         )
 
     def remove_part(self, i: int) -> "Partition":

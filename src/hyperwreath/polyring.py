@@ -329,6 +329,13 @@ def parse_poly(text: str) -> Poly:
         idx += 1
         return tok
 
+    def take_int(after: str) -> int:
+        tok = peek()
+        if not tok.isdigit():
+            raise ValueError(f"expected an integer after {after!r} in polynomial {text!r}")
+        take()
+        return int(tok)
+
     def parse_factor() -> Poly:
         tok = peek()
         if tok.startswith("x"):
@@ -337,18 +344,20 @@ def parse_poly(text: str) -> Poly:
             exp = 1
             if peek() == "^":
                 take()
-                exp = int(take())
+                exp = take_int("^")
             return Poly.variable(j) ** exp
         if tok.isdigit():
             take()
             num = int(tok)
             if peek() == "/":
                 take()
-                den = int(take())
+                den = take_int("/")
+                if den == 0:
+                    raise ValueError(f"zero denominator in polynomial {text!r}")
                 return Poly.constant(Fraction(num, den))
             if peek() == "^":
                 take()
-                return Poly.constant(num ** int(take()))
+                return Poly.constant(num ** take_int("^"))
             return Poly.constant(num)
         raise ValueError(f"unexpected token {tok!r} in polynomial {text!r}")
 

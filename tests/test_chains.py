@@ -1,6 +1,7 @@
 """Level functions, generator enumeration, closures, normalizer checks, growth."""
 
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from hyperwreath.chains import (
     center_membership,
     check_chain_step,
     comm_constituents,
+    constituent_keys,
     enumerate_N,
     h_func,
     idealizes,
@@ -23,6 +25,7 @@ from hyperwreath.chains import (
 )
 from hyperwreath.ordinals import ONE, OrdinalCNF
 from hyperwreath.partitions import EMPTY, Partition, sequences_abc
+from hyperwreath.verify import random_monomial
 from hyperwreath.wreath import GroupElement, MonomialElement
 
 
@@ -278,9 +281,6 @@ def test_chain_step_small():
 
 
 def test_comm_constituents_match_group_commutator():
-    import random
-
-    from hyperwreath.verify import random_monomial
     from hyperwreath.wreath import comm
 
     rng = random.Random(17)
@@ -305,3 +305,85 @@ def test_saturated_set_validation():
         SaturatedSet(n=3, basis=frozenset({MonomialElement(2, EMPTY, 1, 3)}))
     with pytest.raises(ValueError):
         SaturatedSet(n=3, basis=frozenset({MonomialElement(1, EMPTY, 1, 2)}))
+
+
+# -- the closed-form key route against the polynomial route ------------------------
+
+
+def test_constituent_keys_match_the_poly_route():
+    rng = random.Random(29)
+    multiple = 0
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        a = random_monomial(rng, n, max_wt=6)
+        b = random_monomial(rng, n, max_wt=6)
+        same = random_monomial(rng, n, max_wt=6, layer=a.layer)
+        assert constituent_keys(a.lie_key(), same.lie_key()) == []
+        assert comm_constituents(a, same) == []
+        for x, y in ((a, b), (b, a)):
+            keys = constituent_keys(x.lie_key(), y.lie_key())
+            oracle = [m.monic_part().lie_key() for m in comm_constituents(x, y)]
+            assert sorted(keys, key=repr) == sorted(oracle, key=repr)
+        low, high = sorted((a, b), key=lambda m: m.layer)
+        multiple += low.layer < high.layer and high.lam.multiplicity(low.layer) >= 2
+    assert multiple >= 20  # the s >= 2 terms of the difference expansion
+
+
+def reference_closure(gens, wt_bound):
+    """``saturated_closure`` by monomials and ``comm_constituents``."""
+    members = {m.monic_part() for m in gens}
+    discarded = set()
+    frontier = set(members)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in members:
+                for part in comm_constituents(a, b):
+                    monic = part.monic_part()
+                    if monic not in members and monic not in new:
+                        (discarded if monic.wt > wt_bound else new).add(monic)
+        members |= new
+        frontier = new
+    return members, len(discarded)
+
+
+def reference_normalizes(b, H):
+    """``normalizes`` by monomials and ``comm_constituents``."""
+    verdict = True
+    for m in H.basis:
+        for part in comm_constituents(b, m):
+            if part.monic_part() in H.basis:
+                continue
+            if part.wt > H.closure_bound or H.discards > 0:
+                verdict = None
+            else:
+                return False
+    return verdict
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verdicts_match_the_poly_route(n):
+    for i in range(1, 5):
+        bound = 2 * (i + 2)  # check_chain_step's default
+        gens = enumerate_N(i - 1, n).basis
+        closure = saturated_closure(gens, bound, n=n)
+        assert (closure.basis, closure.discards) == reference_closure(gens, bound)
+        for b in candidate_monomials(n, bound):
+            assert normalizes(b, closure) == reference_normalizes(b, closure), b
+
+
+def test_lossy_and_bounded_closures_match_the_poly_route():
+    cases = [
+        ([mono([2, 2], 3, 3), mono([1, 1, 1], 2, 3)], 4, 3),
+        (enumerate_N(-1, 2).basis, 0, 2),
+        (enumerate_N(-1, 2).basis, 6, 2),
+        (enumerate_N(0, 3).basis, 6, 3),
+    ]
+    for gens, bound, n in cases:
+        closure = saturated_closure(gens, bound, n=n)
+        assert (closure.basis, closure.discards) == reference_closure(gens, bound)
+        for b in candidate_monomials(n, 6):
+            assert normalizes(b, closure) == reference_normalizes(b, closure), b
+    lossy = SaturatedSet(n=3, basis=enumerate_N(0, 3).basis, closure_bound=6, discards=1)
+    for b in candidate_monomials(3, 6):
+        assert normalizes(b, lossy) == reference_normalizes(b, lossy), b

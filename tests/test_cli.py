@@ -110,6 +110,9 @@ def test_verify_unknown_suite(capsys):
         "verify --suite all --wt-bound 9",
         "verify --suite all --radius 1",
         "verify --suite all --c-range 0..1",
+        "calc [x1^]D2 --n 2",
+        "calc [3/]D2 --n 2",
+        "calc [3/0]D2 --n 2",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):

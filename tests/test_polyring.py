@@ -197,3 +197,6 @@ def test_parse_rejects_garbage():
         parse_poly("x0 + 1")  # variables are 1-indexed
     with pytest.raises(ValueError):
         parse_poly("y1")
+    for text in ("x1^", "3/", "3/0", "2^", "x1^x2"):
+        with pytest.raises(ValueError):
+            parse_poly(text)
