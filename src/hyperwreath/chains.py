@@ -16,7 +16,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .liering import LieKey, bracket_keys
 from .ordinals import OrdinalCNF
@@ -182,8 +182,7 @@ def layer_counts(i: int, n: int) -> Tuple[Dict[int, int], int]:
     """Counts by layer of the step-i increment (new generators at step i)."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    prev = enumerate_N(i - 1, n).basis
-    new = [m for m in enumerate_N(i, n).basis if m not in prev]
+    new = _level_new_members(i, n) - enumerate_N(i - 1, n).basis
     counts = {k: 0 for k in range(1, n + 1)}
     for m in new:
         counts[m.layer] += 1
@@ -307,14 +306,11 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
     _, b, c = sequences_abc(i_max + n + 2)
     threshold = growth_threshold(n)
     report = ChainReport(n=n, i_max=i_max, threshold=threshold)
-    prev = enumerate_N(0, n).basis
+    members = set(enumerate_N(0, n).basis)
     for i in range(1, i_max + 1):
-        current = enumerate_N(i, n).basis
-        new = sorted(
-            (m for m in current if m not in prev),
-            key=lambda m: m.tdeg(),
-            reverse=True,
-        )
+        # a level set repeats some earlier members, so the increment is its rest
+        new = sorted(_level_new_members(i, n) - members, key=lambda m: m.tdeg(), reverse=True)
+        members.update(new)
         counts = {k: 0 for k in range(1, n + 1)}
         for m in new:
             counts[m.layer] += 1
@@ -339,7 +335,6 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
                 match=match,
             )
         )
-        prev = current
     return report
 
 
@@ -384,9 +379,7 @@ def constituent_keys(a: LieKey, b: LieKey) -> List[LieKey]:
     return out
 
 
-def saturated_closure(
-    gens: Iterable[MonomialElement], wt_bound: int, n: Optional[int] = None
-) -> SaturatedSet:
+def saturated_closure(gens: Iterable[MonomialElement], wt_bound: int, n: int) -> SaturatedSet:
     """Least monic-monomial set containing ``gens`` and closed under taking the
     monic parts of commutator constituents, up to the weight bound.
 
@@ -394,15 +387,7 @@ def saturated_closure(
     discard count marks the closure as potentially incomplete.  The iteration
     cap only guards against a runaway loop; the set is finite by the bound.
     """
-    if isinstance(gens, SaturatedSet):
-        n = gens.n
-        monics = set(gens.basis)
-    else:
-        monics = {m.monic_part() for m in gens}
-        if n is None:
-            if not monics:
-                raise ValueError("cannot infer n from an empty generator set")
-            n = next(iter(monics)).n
+    monics = {m.monic_part() for m in gens}
     if monics and wt_bound < max(m.wt for m in monics):
         raise ValueError("wt_bound is below the heaviest generator")
     members = _KeyIndex(m.lie_key() for m in monics)
@@ -468,7 +453,7 @@ def normalizes(b: MonomialElement, H: SaturatedSet) -> Optional[bool]:
     return None if any_unknown else True
 
 
-def idealizes(key: LieKey, h_keys: FrozenSet[LieKey], n: int) -> bool:
+def idealizes(key: LieKey, h_keys: FrozenSet[LieKey]) -> bool:
     """Check that a Lie basis element idealizes the homogeneous subring
     spanned by ``h_keys``: each bracket with a member is again in the span.
     """
@@ -523,13 +508,7 @@ class ChainStepCheck:
         )
 
 
-def check_chain_step(
-    n: int,
-    i: int,
-    wt_bound: Optional[int] = None,
-    candidates: Optional[Sequence[MonomialElement]] = None,
-    check_mirror: bool = True,
-) -> ChainStepCheck:
+def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainStepCheck:
     """Verify one normalizer step: the step-i generators are exactly the
     bounded monomials normalizing the closure of the previous step, and the
     Lie-side idealizer test mirrors every verdict.
@@ -538,9 +517,7 @@ def check_chain_step(
         wt_bound = 2 * (i + 2)
     prev = enumerate_N(i - 1, n)
     closure = saturated_closure(prev.basis, wt_bound, n=n)
-    target = enumerate_N(i, n).basis
-    if candidates is None:
-        candidates = candidate_monomials(n, wt_bound)
+    target = prev.basis | _level_new_members(i, n)
     h_keys = closure.lie_keys()
     step = ChainStepCheck(
         n=n,
@@ -555,19 +532,18 @@ def check_chain_step(
         unknowns=[],
         mirror_disagreements=[],
     )
-    for b in candidates:
+    for b in candidate_monomials(n, wt_bound):
         verdict = normalizes(b, closure)
         if verdict is None:
             step.unknowns.append(b.render())
             continue
         if verdict:
             step.group_passes += 1
-        if check_mirror:
-            lie_verdict = idealizes(b.lie_key(), h_keys, n)
-            if lie_verdict:
-                step.lie_passes += 1
-            if lie_verdict != verdict:
-                step.mirror_disagreements.append(b.render())
+        lie_verdict = idealizes(b.lie_key(), h_keys)
+        if lie_verdict:
+            step.lie_passes += 1
+        if lie_verdict != verdict:
+            step.mirror_disagreements.append(b.render())
         if b in target:
             step.members_checked += 1
             if not verdict:

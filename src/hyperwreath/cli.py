@@ -23,6 +23,10 @@ CalcValue = Union[wreath.GroupElement, liering.LieElement, OrdinalCNF]
 
 _CALC_TOKEN = re.compile(r"\s*(\[[^\]]*\]D\d+|[A-Za-z_][A-Za-z_0-9]*|\*|\(|\)|,|1)")
 
+# Deepest nesting of parentheses and function calls; each level takes two
+# Python frames of the recursive-descent parser.
+_MAX_CALC_DEPTH = 100
+
 
 class CalcError(ValueError):
     def __init__(self, message: str, position: int):
@@ -76,14 +80,14 @@ def eval_expression(text: str, n: int) -> CalcValue:
             raise CalcError(f"{what} needs a group element", position)
         return value
 
-    def parse_factor() -> CalcValue:
+    def parse_factor(depth: int) -> CalcValue:
         tok = peek()
         if tok is None:
             raise CalcError("unexpected end of expression", len(text))
         word, position = tok
         if word == "(":
             take()
-            value = parse_expr()
+            value = parse_expr(depth + 1)
             take(")")
             return value
         if word == "1":
@@ -93,23 +97,24 @@ def eval_expression(text: str, n: int) -> CalcValue:
             take()
             body, layer = word[1:].rsplit("]D", 1)
             try:
-                poly = parse_poly(body)
-            except ValueError as exc:
-                raise CalcError(str(exc), position) from exc
-            k = int(layer)
-            if not 1 <= k <= n:
-                raise CalcError(f"layer {k} out of range for n={n}", position)
-            try:
-                return wreath.GroupElement.from_layer_poly(poly, k, n)
+                k = int(layer)
+                if not 1 <= k <= n:
+                    raise ValueError(f"layer {k} out of range for n={n}")
+                # a variable outside the layer is rejected before parse_poly
+                # builds its exponent tuple, which is as long as its index
+                for j in re.findall(r"x(\d+)", body):
+                    if int(j) >= k:
+                        raise ValueError(f"layer {k} takes variables below x{k}, got x{j}")
+                return wreath.GroupElement.from_layer_poly(parse_poly(body), k, n)
             except ValueError as exc:
                 raise CalcError(str(exc), position) from exc
         if word in ("inv", "comm", "phi", "tdeg"):
             take()
             take("(")
-            first = parse_expr()
+            first = parse_expr(depth + 1)
             if word == "comm":
                 take(",")
-                second = parse_expr()
+                second = parse_expr(depth + 1)
                 take(")")
                 return wreath.comm(
                     require_group(first, position, "comm"),
@@ -125,21 +130,23 @@ def eval_expression(text: str, n: int) -> CalcValue:
             return require_group(first, position, "tdeg").tdeg()
         raise CalcError(f"unexpected token {word!r}", position)
 
-    def parse_expr() -> CalcValue:
+    def parse_expr(depth: int) -> CalcValue:
         tok = peek()
         start = tok[1] if tok else len(text)
-        value = parse_factor()
+        if depth > _MAX_CALC_DEPTH:
+            raise CalcError(f"expression nested deeper than {_MAX_CALC_DEPTH} levels", start)
+        value = parse_factor(depth)
         while True:
             tok = peek()
             if tok is None or tok[0] != "*":
                 return value
             take()
-            rhs = parse_factor()
+            rhs = parse_factor(depth)
             value = require_group(value, start, "product") * require_group(
                 rhs, start, "product"
             )
 
-    result = parse_expr()
+    result = parse_expr(0)
     if idx < len(tokens):
         raise CalcError(f"trailing input {tokens[idx][0]!r}", tokens[idx][1])
     return result

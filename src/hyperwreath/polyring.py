@@ -96,10 +96,6 @@ class Poly:
         """True when every coefficient is an integer."""
         return all(isinstance(c, int) for c in self.terms.values())
 
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def deg_in(self, j: int) -> int:
         """Degree in the variable x_j."""
         return max((e[j - 1] if len(e) >= j else 0 for e in self.terms), default=0)

@@ -7,6 +7,7 @@ import pytest
 
 from hyperwreath.chains import (
     SaturatedSet,
+    _level_new_members,
     candidate_monomials,
     center_membership,
     check_chain_step,
@@ -81,16 +82,37 @@ def test_sets_are_nested():
             prev = cur
 
 
+def test_level_sets_match_the_level_function():
+    # lev_j(m) = j forces deg 1 at j = 0 and weight <= j + 1 at j >= 1, so the
+    # bound j + n leaves no level member out
+    for n in range(2, 7):
+        for j in range(0, 10):
+            oracle = {
+                m
+                for m in candidate_monomials(n, j + n)
+                if m.lam != EMPTY and lev(j, m) == j
+            }
+            assert _level_new_members(j, n) == oracle, (n, j)
+
+
 def test_increments_partition_the_union():
-    n = 4
-    union = enumerate_N(-1, n).basis
-    seen = set(union)
-    for i in range(0, 9):
-        cur = enumerate_N(i, n).basis
-        new = cur - seen
-        assert not (new & seen)
-        seen |= new
-    assert seen == enumerate_N(8, n).basis
+    # verify_growth and layer_counts take each increment from a level set; the
+    # oracle rebuilds N_i and N_(i-1) from step 0 and takes their difference
+    for n in range(2, 7):
+        report = verify_growth(n, 12)
+        for row in report.rows:
+            new = enumerate_N(row.i, n).basis - enumerate_N(row.i - 1, n).basis
+            ordered = sorted(new, key=lambda m: m.tdeg(), reverse=True)
+            assert row.generators == [m.render() for m in ordered], (n, row.i)
+        for i in range(0, 13):
+            new = enumerate_N(i, n).basis - enumerate_N(i - 1, n).basis
+            counts = {k: sum(m.layer == k for m in new) for k in range(1, n + 1)}
+            assert layer_counts(i, n) == (counts, len(new)), (n, i)
+        union = [m.render() for m in enumerate_N(0, n).basis]
+        for row in report.rows[:8]:
+            union += row.generators
+        assert len(union) == len(set(union))
+        assert set(union) == {m.render() for m in enumerate_N(8, n).basis}
 
 
 def test_layer_counts_examples():
@@ -245,9 +267,9 @@ def test_idealizes_examples():
     n = 4
     closure = saturated_closure(enumerate_N(0, n).basis, 6, n=n)
     keys = closure.lie_keys()
-    assert idealizes((EMPTY, n), keys, n) is True
-    assert idealizes((Partition.from_parts([1, 1]), n), keys, n) is True
-    assert idealizes((Partition.from_parts([1, 1, 1]), n), keys, n) is False
+    assert idealizes((EMPTY, n), keys) is True
+    assert idealizes((Partition.from_parts([1, 1]), n), keys) is True
+    assert idealizes((Partition.from_parts([1, 1, 1]), n), keys) is False
 
 
 def test_center_membership_examples():

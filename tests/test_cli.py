@@ -113,6 +113,10 @@ def test_verify_unknown_suite(capsys):
         "calc [x1^]D2 --n 2",
         "calc [3/]D2 --n 2",
         "calc [3/0]D2 --n 2",
+        "calc [x99999999999999999999999]D2 --n 2",
+        pytest.param("calc " + "inv(" * 1000 + "1" + ")" * 1000 + " --n 2", id="calc deep inv"),
+        pytest.param("calc " + "(" * 1000 + "1" + ")" * 1000 + " --n 2", id="calc deep parens"),
+        pytest.param("calc [1]D" + "9" * 5000 + " --n 2", id="calc 5000-digit layer"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
