@@ -218,32 +218,17 @@ class ChainReport:
     def all_match(self) -> bool:
         return all(row.match for row in self.rows if row.match is not None)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "i_max": self.i_max,
-            "threshold": self.threshold,
-            "all_match": self.all_match,
-            "rows": [
-                {
-                    "n": r.n,
-                    "i": r.i,
-                    "r": r.r,
-                    "h": r.h,
-                    "generators": r.generators,
-                    "counts": {str(k): v for k, v in r.counts.items()},
-                    "predicted": {str(k): v for k, v in r.predicted.items()},
-                    "total": r.total,
-                    "predicted_total": r.predicted_total,
-                    "match": r.match,
-                    "discards": r.discards,
-                }
-                for r in self.rows
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(
+            {
+                "n": self.n,
+                "i_max": self.i_max,
+                "threshold": self.threshold,
+                "all_match": self.all_match,
+                "rows": [vars(r) for r in self.rows],
+            },
+            indent=2,
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import chains, liering, verify, wreath
 from .ordinals import OrdinalCNF
-from .polyring import parse_poly
 
 
 # -- calculator -----------------------------------------------------------------
@@ -95,17 +94,8 @@ def eval_expression(text: str, n: int) -> CalcValue:
             return wreath.GroupElement.identity(n)
         if word.startswith("["):
             take()
-            body, layer = word[1:].rsplit("]D", 1)
             try:
-                k = int(layer)
-                if not 1 <= k <= n:
-                    raise ValueError(f"layer {k} out of range for n={n}")
-                # a variable outside the layer is rejected before parse_poly
-                # builds its exponent tuple, which is as long as its index
-                for j in re.findall(r"x(\d+)", body):
-                    if int(j) >= k:
-                        raise ValueError(f"layer {k} takes variables below x{k}, got x{j}")
-                return wreath.GroupElement.from_layer_poly(parse_poly(body), k, n)
+                return wreath.parse_element(word, n)
             except ValueError as exc:
                 raise CalcError(str(exc), position) from exc
         if word in ("inv", "comm", "phi", "tdeg"):
@@ -154,20 +144,17 @@ def eval_expression(text: str, n: int) -> CalcValue:
 
 # -- commands --------------------------------------------------------------------
 
-# The options each verify suite takes, as argparse dests.  A suite function's
-# keyword defaults are the only defaults: an option is passed on only when set.
-SUITE_OPTIONS: Dict[str, Tuple[str, ...]] = {
-    "group": ("n",),
-    "formulas": ("n",),
-    "phi": ("n",),
-    "centers": ("n",),
-    "chain": ("n", "imax", "wt_bound"),
-    "regular": ("n", "radius", "c_range"),
-}
-
-# argparse dest -> suite keyword
+# argparse dest -> suite keyword.  A suite takes the options whose keyword its
+# function has, and its keyword defaults are the only defaults: an option is
+# passed on only when set.
 _SUITE_KEYWORDS = {"n": "ns", "imax": "i_max", "wt_bound": "wt_bound", "radius": "radius",
                    "c_range": "c_range"}
+
+
+def suite_options(suite: str) -> List[str]:
+    """The argparse dests of the options ``suite`` takes, besides --seed and --out."""
+    params = inspect.signature(verify.SUITES[suite]).parameters
+    return [dest for dest, keyword in _SUITE_KEYWORDS.items() if keyword in params]
 
 
 def _flag(dest: str) -> str:
@@ -220,11 +207,11 @@ def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str
             return (f"--suite all runs every suite at its defaults and takes no "
                     f"{', '.join(_flag(d) for d in options)}")
         return None
-    rejected = [d for d in options if d not in SUITE_OPTIONS[suite]]
+    takes = suite_options(suite)
+    rejected = [d for d in options if d not in takes]
     if rejected:
-        takes = ", ".join(_flag(d) for d in SUITE_OPTIONS[suite])
         return (f"suite {suite} does not take {', '.join(_flag(d) for d in rejected)} "
-                f"(it takes {takes})")
+                f"(it takes {', '.join(_flag(d) for d in takes)})")
     for dest, least in (("n", 2), ("imax", 1), ("radius", 1)):
         if dest in options and options[dest] < least:
             return f"{_flag(dest)} must be >= {least}"
@@ -270,7 +257,11 @@ def cmd_calc(args: argparse.Namespace) -> int:
         value = eval_expression(args.expr, args.n)
     except CalcError as exc:
         return _usage_error(str(exc))
-    return 0 if _emit(value.render(), args.out) else 2
+    try:
+        text = value.render()
+    except ValueError:  # a number with more digits than str() converts
+        return _usage_error("the result has a number too long to print")
+    return 0 if _emit(text, args.out) else 2
 
 
 # -- argument parsing ---------------------------------------------------------------

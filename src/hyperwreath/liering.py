@@ -9,8 +9,7 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .ordinals import OrdinalCNF, tdeg_of_monomial
 from .partitions import Partition
-from .polyring import parse_poly
-from .wreath import GroupElement, MonomialElement
+from .wreath import GroupElement, MonomialElement, parse_layer_poly
 
 LieKey = Tuple[Partition, int]  # (exponent partition, layer of the derivation)
 
@@ -211,11 +210,7 @@ def parse_lie(text: str, n: int) -> LieElement:
         if not m:
             raise ValueError(f"bad Lie term: {chunk!r}")
         k = int(m.group(2))
-        head = m.group(1).strip()
-        if head:
-            poly = parse_poly(head)
-        else:
-            poly = parse_poly("1")
+        poly = parse_layer_poly(m.group(1).strip() or "1", k, n)
         if len(poly.terms) != 1:
             raise ValueError(f"Lie term must be a single monomial: {chunk!r}")
         (exps, coeff), = poly.terms.items()

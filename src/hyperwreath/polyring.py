@@ -8,6 +8,7 @@ factorial divisions of the Taylor expansion) remain exact.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
@@ -300,6 +301,10 @@ class Poly:
 
 _POLY_TOKEN = re.compile(r"\s*(x\d+|\d+|[+\-*/^])")
 
+# Python's default limit on the digits str() converts: a constant power with
+# more digits could not be printed, so it is refused before it is computed.
+_MAX_POWER_DIGITS = 4300
+
 
 def parse_poly(text: str) -> Poly:
     """Parse the canonical polynomial text form; inverse of ``Poly.render``."""
@@ -353,7 +358,10 @@ def parse_poly(text: str) -> Poly:
                 return Poly.constant(Fraction(num, den))
             if peek() == "^":
                 take()
-                return Poly.constant(num ** take_int("^"))
+                exp = take_int("^")
+                if num > 1 and exp >= _MAX_POWER_DIGITS / math.log10(num):
+                    raise ValueError(f"constant {num}^{exp} has more than {_MAX_POWER_DIGITS} digits")
+                return Poly.constant(num ** exp)
             return Poly.constant(num)
         raise ValueError(f"unexpected token {tok!r} in polynomial {text!r}")
 

@@ -19,8 +19,14 @@ from .polyring import Poly
 @dataclass
 class PropertyResult:
     name: str
-    passed: bool
+    passed: bool = True
     detail: str = ""
+
+    def fail(self, detail: str) -> None:
+        """Mark the property failed, keeping the first failing sample's detail."""
+        if self.passed:
+            self.passed = False
+            self.detail = detail
 
 
 # -- random generators ---------------------------------------------------------
@@ -81,67 +87,50 @@ def random_group_element(
 def suite_group(seed: int, triples: int = 200, ns: Sequence[int] = (2, 3, 4, 5)) -> List[PropertyResult]:
     """Group axioms and the right-action contract on random elements."""
     rng = random.Random(seed)
-    results: List[PropertyResult] = []
-    assoc_ok = inv_ok = action_ok = True
-    detail = ""
+    assoc = PropertyResult("associativity")
+    inverse = PropertyResult("two-sided inverse")
+    action = PropertyResult("act(g*h, x) == act(h, act(g, x))")
     for n in ns:
         for idx in range(triples):
             g = random_group_element(rng, n)
             h = random_group_element(rng, n)
             k = random_group_element(rng, n)
             if (g * h) * k != g * (h * k):
-                assoc_ok = False
-                detail = f"associativity broke at n={n} sample {idx}"
+                assoc.fail(f"associativity broke at n={n} sample {idx}")
             gi = g.inverse()
             ident = wreath.GroupElement.identity(n)
             if g * gi != ident or gi * g != ident:
-                inv_ok = False
-                detail = f"inverse broke at n={n} sample {idx}"
+                inverse.fail(f"inverse broke at n={n} sample {idx}")
             gh = g * h
             for _ in range(20):
                 x = tuple(rng.randint(-6, 6) for _ in range(n))
                 if gh.act(x) != h.act(g.act(x)):
-                    action_ok = False
-                    detail = f"action contract broke at n={n} sample {idx}"
+                    action.fail(f"action contract broke at n={n} sample {idx}")
                     break
-    results.append(PropertyResult("associativity", assoc_ok, detail if not assoc_ok else ""))
-    results.append(PropertyResult("two-sided inverse", inv_ok, detail if not inv_ok else ""))
-    results.append(
-        PropertyResult("act(g*h, x) == act(h, act(g, x))", action_ok, detail if not action_ok else "")
-    )
-    return results
+    return [assoc, inverse, action]
 
 
 def suite_formulas(seed: int, pairs: int = 200, ns: Sequence[int] = (2, 3, 4, 5)) -> List[PropertyResult]:
     """Commutator case split, Taylor expansion and the leading-term law."""
     rng = random.Random(seed)
-    results: List[PropertyResult] = []
+    split = PropertyResult("comm equals case-split formula")
+    taylor = PropertyResult("case-split formula equals taylor sum")
+    leading = PropertyResult("leading term of monomial commutators")
+    degree = PropertyResult("k-fold differences detect degree")
 
-    split_ok = taylor_ok = True
-    detail_split = detail_taylor = ""
     for idx in range(pairs):
         n = rng.choice(list(ns))
         a = random_monomial(rng, n)
         b = random_monomial(rng, n)
         fa = Poly.monomial(a.coeff, a.lam.mults)
         fb = Poly.monomial(b.coeff, b.lam.mults)
-        direct = wreath.comm(a.to_group(), b.to_group())
         formula = wreath.comm_formula(fa, a.layer, fb, b.layer, n)
-        if direct != formula:
-            split_ok = False
-            detail_split = f"case split broke on {a.render()} , {b.render()}"
-        if a.layer > b.layer:
-            taylor = wreath.taylor_comm(fa, a.layer, fb, b.layer, n)
-            if taylor != formula:
-                taylor_ok = False
-                detail_taylor = f"taylor broke on {a.render()} , {b.render()}"
-    results.append(PropertyResult("comm equals case-split formula", split_ok, detail_split))
-    results.append(PropertyResult("case-split formula equals taylor sum", taylor_ok, detail_taylor))
+        if wreath.comm(a.to_group(), b.to_group()) != formula:
+            split.fail(f"case split broke on {a.render()} , {b.render()}")
+        if a.layer > b.layer and wreath.taylor_comm(fa, a.layer, fb, b.layer, n) != formula:
+            taylor.fail(f"taylor broke on {a.render()} , {b.render()}")
 
-    leading_ok = True
-    detail_leading = ""
-    count = 0
-    while count < pairs:
+    for _ in range(pairs):
         n = rng.choice([v for v in ns if v >= 2])
         k = rng.randint(2, n)
         u = rng.randint(1, k - 1)
@@ -149,20 +138,15 @@ def suite_formulas(seed: int, pairs: int = 200, ns: Sequence[int] = (2, 3, 4, 5)
         if lam.multiplicity(u) == 0:
             lam = lam.combine(Partition.from_parts([u]))
         theta = random_partition(rng, u - 1, 4)
-        count += 1
         predicted = wreath.leading_of_monomial_comm(lam, k, theta, u, n)
         actual = wreath.comm(
             wreath.GroupElement.monomial(1, lam, k, n),
             wreath.GroupElement.monomial(1, theta, u, n),
         ).leading_term()
         if predicted != actual:
-            leading_ok = False
-            detail_leading = f"leading term broke at lam={lam}, k={k}, theta={theta}, u={u}"
-    results.append(PropertyResult("leading term of monomial commutators", leading_ok, detail_leading))
+            leading.fail(f"leading term broke at lam={lam}, k={k}, theta={theta}, u={u}")
 
     # finite differences on a sampled coefficient grid
-    diff_ok = True
-    detail_diff = ""
     for d in range(0, 9):
         coeffs = [0] * d + [1]
         f = Poly({(i,): c for i, c in enumerate(coeffs) if c})
@@ -171,8 +155,7 @@ def suite_formulas(seed: int, pairs: int = 200, ns: Sequence[int] = (2, 3, 4, 5)
             f = f.difference(1, 1)
             steps += 1
         if steps != d + 1:
-            diff_ok = False
-            detail_diff = f"monomial of degree {d} vanished after {steps} differences"
+            degree.fail(f"monomial of degree {d} vanished after {steps} differences")
     for _ in range(300):
         deg = rng.randint(0, 8)
         coeffs = [rng.randint(-2, 2) for _ in range(deg + 1)]
@@ -182,20 +165,17 @@ def suite_formulas(seed: int, pairs: int = 200, ns: Sequence[int] = (2, 3, 4, 5)
         for k in range(1, 11):
             g = g.difference(1, 1)
             if g.is_zero != (true_deg <= k - 1):
-                diff_ok = False
-                detail_diff = f"difference order broke for coeffs {coeffs} at k={k}"
+                degree.fail(f"difference order broke for coeffs {coeffs} at k={k}")
                 break
-    results.append(PropertyResult("k-fold differences detect degree", diff_ok, detail_diff))
-    return results
+    return [split, taylor, leading, degree]
 
 
 def suite_phi(seed: int, pairs: int = 200, ns: Sequence[int] = (2, 3, 4, 5)) -> List[PropertyResult]:
     """Bracket laws and the leading-term correspondence on commutators."""
     rng = random.Random(seed)
-    results: List[PropertyResult] = []
+    intertwines = PropertyResult("phi intertwines commutator and bracket")
+    laws = PropertyResult("bracket is alternating, bilinear, jacobi")
 
-    inter_ok = True
-    detail = ""
     for _ in range(pairs):
         n = rng.choice(list(ns))
         a = random_monomial(rng, n)
@@ -203,64 +183,47 @@ def suite_phi(seed: int, pairs: int = 200, ns: Sequence[int] = (2, 3, 4, 5)) -> 
         lhs = liering.phi(wreath.comm(a.to_group(), b.to_group()))
         rhs = liering.bracket(liering.LieElement.from_monomial(a), liering.LieElement.from_monomial(b))
         if lhs != rhs:
-            inter_ok = False
-            detail = f"correspondence broke on {a.render()} , {b.render()}"
-    results.append(PropertyResult("phi intertwines commutator and bracket", inter_ok, detail))
+            intertwines.fail(f"correspondence broke on {a.render()} , {b.render()}")
 
-    laws_ok = True
-    detail_laws = ""
     for _ in range(100):
         n = rng.choice(list(ns))
         a = liering.LieElement.from_monomial(random_monomial(rng, n))
         b = liering.LieElement.from_monomial(random_monomial(rng, n))
         c = liering.LieElement.from_monomial(random_monomial(rng, n))
         if not liering.bracket(a, a).is_zero:
-            laws_ok = False
-            detail_laws = "alternating law broke"
+            laws.fail("alternating law broke")
         lin = liering.bracket(a + b, c) - (liering.bracket(a, c) + liering.bracket(b, c))
         if not lin.is_zero:
-            laws_ok = False
-            detail_laws = "bilinearity broke"
+            laws.fail("bilinearity broke")
         jac = (
             liering.bracket(a, liering.bracket(b, c))
             + liering.bracket(b, liering.bracket(c, a))
             + liering.bracket(c, liering.bracket(a, b))
         )
         if not jac.is_zero:
-            laws_ok = False
-            detail_laws = "jacobi identity broke"
-    results.append(PropertyResult("bracket is alternating, bilinear, jacobi", laws_ok, detail_laws))
-    return results
+            laws.fail("jacobi identity broke")
+    return [intertwines, laws]
 
 
 def suite_centers(seed: int, ns: Sequence[int] = (3, 4), per_monomial: int = 50) -> List[PropertyResult]:
     """Central-series drop of commutators and the description of the center."""
     rng = random.Random(seed)
-    drop_ok = True
-    center_ok = True
-    detail_drop = detail_center = ""
+    drop = PropertyResult("commutator drops transfinite degree")
+    center = PropertyResult("degree-zero monomials are exactly the top-layer constants")
     one = OrdinalCNF.from_int(1)
     for n in ns:
-        monomials = [m for m in chains.candidate_monomials(n, 4)]
-        for b in monomials:
+        for b in chains.candidate_monomials(n, 4):
             bg = b.to_group()
             alpha = b.tdeg()
             if chains.center_membership(bg, one) != (b.lam.is_empty and b.layer == n):
-                center_ok = False
-                detail_center = f"center classification broke at {b.render()}, n={n}"
+                center.fail(f"center classification broke at {b.render()}, n={n}")
             for _ in range(per_monomial):
-                g = random_group_element(rng, n)
-                c = wreath.comm(bg, g)
+                c = wreath.comm(bg, random_group_element(rng, n))
                 if not c.tdeg() < alpha.successor():
-                    drop_ok = False
-                    detail_drop = f"degree did not drop for {b.render()} at n={n}"
+                    drop.fail(f"degree did not drop for {b.render()} at n={n}")
                 if not c.is_identity and not c.tdeg() < alpha:
-                    drop_ok = False
-                    detail_drop = f"strict drop failed for {b.render()} at n={n}"
-    return [
-        PropertyResult("commutator drops transfinite degree", drop_ok, detail_drop),
-        PropertyResult("degree-zero monomials are exactly the top-layer constants", center_ok, detail_center),
-    ]
+                    drop.fail(f"strict drop failed for {b.render()} at n={n}")
+    return [drop, center]
 
 
 def suite_chain(
@@ -271,29 +234,23 @@ def suite_chain(
 ) -> List[PropertyResult]:
     """Normalizer chain steps plus the growth law and the idealizer mirror."""
     results: List[PropertyResult] = []
-    jobs: List[Tuple[int, int]] = [(n, i) for n in ns for i in range(1, i_max + 1)]
-    steps = [chains.check_chain_step(n, i, wt_bound=wt_bound) for n, i in jobs]
-    for (n, i), step in zip(jobs, steps):
-        detail = ""
-        if not step.ok:
-            detail = (
-                f"member_failures={step.member_failures[:3]} "
-                f"outsider_passes={step.outsider_passes[:3]} "
-                f"unknowns={step.unknowns[:3]} "
-                f"mirror={step.mirror_disagreements[:3]}"
-            )
-        results.append(
-            PropertyResult(f"normalizer step n={n} i={i} (bound {step.wt_bound})", step.ok, detail)
-        )
+    for n in ns:
+        for i in range(1, i_max + 1):
+            step = chains.check_chain_step(n, i, wt_bound=wt_bound)
+            res = PropertyResult(f"normalizer step n={n} i={i} (bound {step.wt_bound})")
+            if not step.ok:
+                res.fail(
+                    f"member_failures={step.member_failures[:3]} "
+                    f"outsider_passes={step.outsider_passes[:3]} "
+                    f"unknowns={step.unknowns[:3]} "
+                    f"mirror={step.mirror_disagreements[:3]}"
+                )
+            results.append(res)
     for n in (4, 5):
-        report = chains.verify_growth(n, 12)
-        results.append(
-            PropertyResult(
-                f"growth law n={n} i<=12",
-                report.all_match,
-                "" if report.all_match else "see chain report",
-            )
-        )
+        res = PropertyResult(f"growth law n={n} i<=12")
+        if not chains.verify_growth(n, 12).all_match:
+            res.fail("see chain report")
+        results.append(res)
     return results
 
 
@@ -301,38 +258,29 @@ def suite_regular(
     seed: int, ns: Sequence[int] = (2, 3, 4), c_range: Tuple[int, int] = (-3, 3), radius: int = 2
 ) -> List[PropertyResult]:
     """Family axioms: abelian, normal, orbit-injective, and the conjugacy shift."""
-    results: List[PropertyResult] = []
-    ab_ok = norm_ok = orbit_ok = conj_ok = center_ok = True
-    detail = ""
+    abelian = PropertyResult("families are abelian")
+    normal = PropertyResult("families are normal under step-0 generators")
+    orbit = PropertyResult("orbit map is injective on the exponent grid")
+    center = PropertyResult("families contain the central generator")
+    conj = PropertyResult("conjugation shifts the parameter by 2d")
     lo, hi = c_range
     for n in ns:
         for c in range(lo, hi + 1):
             fam = regular.make_family(c, n)
             if not regular.is_abelian(fam):
-                ab_ok = False
-                detail = f"family c={c} n={n} not abelian"
+                abelian.fail(f"family c={c} n={n} not abelian")
             if not regular.is_normal_in_N0(fam):
-                norm_ok = False
-                detail = f"family c={c} n={n} not normal"
+                normal.fail(f"family c={c} n={n} not normal")
             if not regular.orbit_injectivity(fam, radius):
-                orbit_ok = False
-                detail = f"family c={c} n={n} not orbit-injective"
+                orbit.fail(f"family c={c} n={n} not orbit-injective")
             if regular.membership_solve(wreath.GroupElement.delta(n, n), fam) is None:
-                center_ok = False
-                detail = f"top-layer unit missing from family c={c} n={n}"
+                center.fail(f"top-layer unit missing from family c={c} n={n}")
         for d in range(lo, hi + 1):
             if regular.conjugate_family(regular.make_family(0, n), d).c != 2 * d:
-                conj_ok = False
-                detail = f"even-class conjugation broke at d={d}, n={n}"
+                conj.fail(f"even-class conjugation broke at d={d}, n={n}")
             if regular.conjugate_family(regular.make_family(1, n), d).c != 2 * d + 1:
-                conj_ok = False
-                detail = f"odd-class conjugation broke at d={d}, n={n}"
-    results.append(PropertyResult("families are abelian", ab_ok, detail if not ab_ok else ""))
-    results.append(PropertyResult("families are normal under step-0 generators", norm_ok, detail if not norm_ok else ""))
-    results.append(PropertyResult("orbit map is injective on the exponent grid", orbit_ok, detail if not orbit_ok else ""))
-    results.append(PropertyResult("families contain the central generator", center_ok, detail if not center_ok else ""))
-    results.append(PropertyResult("conjugation shifts the parameter by 2d", conj_ok, detail if not conj_ok else ""))
-    return results
+                conj.fail(f"odd-class conjugation broke at d={d}, n={n}")
+    return [abelian, normal, orbit, center, conj]
 
 
 SUITES: Dict[str, Callable[..., List[PropertyResult]]] = {
@@ -347,6 +295,8 @@ SUITES: Dict[str, Callable[..., List[PropertyResult]]] = {
 
 def run_suite(name: str, seed: int, **kwargs) -> List[PropertyResult]:
     if name == "all":
+        if kwargs:
+            raise TypeError(f"suite all runs every suite at its defaults and takes no {', '.join(kwargs)}")
         out: List[PropertyResult] = []
         for key in SUITES:
             out.extend(SUITES[key](seed))

@@ -322,6 +322,20 @@ def leading_of_monomial_comm(
 _FACTOR_RE = re.compile(r"\s*\[([^\]]*)\]D(\d+)\s*")
 
 
+def parse_layer_poly(text: str, k: int, n: int) -> Poly:
+    """Parse the polynomial of a layer-``k`` term, which may use x1..x(k-1).
+
+    The layer and the variable indices are checked before ``parse_poly``
+    builds an exponent tuple as long as the largest index.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"layer {k} out of range for n={n}")
+    for j in re.findall(r"x(\d+)", text):
+        if int(j) >= k:
+            raise ValueError(f"layer {k} takes variables below x{k}, got x{j}")
+    return parse_poly(text)
+
+
 def parse_element(text: str, n: int) -> GroupElement:
     """Parse the canonical element text as a product of base-layer factors.
 
@@ -343,11 +357,8 @@ def parse_element(text: str, n: int) -> GroupElement:
         m = _FACTOR_RE.match(text, pos)
         if not m:
             raise ValueError(f"expected '[poly]Dk' at position {pos} in element {text!r}")
-        poly = parse_poly(m.group(1))
         k = int(m.group(2))
-        if not 1 <= k <= n:
-            raise ValueError(f"layer {k} out of range for n={n}")
-        acc = acc * GroupElement.from_layer_poly(poly, k, n)
+        acc = acc * GroupElement.from_layer_poly(parse_layer_poly(m.group(1), k, n), k, n)
         pos = m.end()
         first = False
     return acc

@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from hyperwreath.cli import CalcError, eval_expression, main
+from hyperwreath import verify
+from hyperwreath.cli import CalcError, eval_expression, main, suite_options
 from hyperwreath.verify import random_group_element
 from hyperwreath.wreath import GroupElement, parse_element
 
@@ -117,6 +120,9 @@ def test_verify_unknown_suite(capsys):
         pytest.param("calc " + "inv(" * 1000 + "1" + ")" * 1000 + " --n 2", id="calc deep inv"),
         pytest.param("calc " + "(" * 1000 + "1" + ")" * 1000 + " --n 2", id="calc deep parens"),
         pytest.param("calc [1]D" + "9" * 5000 + " --n 2", id="calc 5000-digit layer"),
+        "calc [2^20000]D2 --n 2",
+        "calc [2^10000*2^10000]D2 --n 2",
+        "calc [2^99999999999]D2 --n 2",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -125,6 +131,18 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_readme_lists_the_options_each_suite_takes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| suite ", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        suites, options = (cell.strip() for cell in row.strip().strip("|").split("|"))
+        for suite in re.findall(r"`(\w+)`", suites):
+            documented[suite] = re.findall(r"`(--[\w-]+)`", options)
+    derived = {s: ["--" + d.replace("_", "-") for d in suite_options(s)] for s in verify.SUITES}
+    assert documented == {**derived, "all": []}
 
 
 def test_verify_bad_c_range(capsys):

@@ -121,6 +121,8 @@ def test_lie_element_validation():
         LieElement.basis(Partition.from_parts([2]), 2, 4)
     with pytest.raises(ValueError):
         LieElement.basis(EMPTY, 5, 4)
+    with pytest.raises(ValueError):
+        parse_lie("x99999999999999999999999 d2", 2)  # rejected before the tuple is built
 
 
 def test_render_examples():

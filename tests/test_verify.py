@@ -2,7 +2,7 @@
 
 import pytest
 
-from hyperwreath import verify
+from hyperwreath import verify, wreath
 
 
 def test_chain_suite_passes():
@@ -15,6 +15,21 @@ def test_run_suite_all_aggregates():
         "regular", 0, ns=(2,), c_range=(-1, 1), radius=1
     )
     assert results and all(r.passed for r in results)
+
+
+def test_run_suite_all_rejects_options():
+    with pytest.raises(TypeError):
+        verify.run_suite("all", 0, ns=(99,))
+
+
+def test_each_failing_property_keeps_its_own_first_detail(monkeypatch):
+    monkeypatch.setattr(wreath.GroupElement, "__eq__", lambda self, other: False)
+    results = verify.suite_group(0, triples=3, ns=(2, 3))
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("associativity", False, "associativity broke at n=2 sample 0"),
+        ("two-sided inverse", False, "inverse broke at n=2 sample 0"),
+        ("act(g*h, x) == act(h, act(g, x))", True, ""),
+    ]
 
 
 def test_run_suite_unknown_raises():

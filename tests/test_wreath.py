@@ -278,3 +278,5 @@ def test_parse_element_rejects_garbage():
         parse_element("[x1]D2 [1]D1", 4)
     with pytest.raises(ValueError):
         parse_element("[x2]D2", 4)  # layer 2 cannot use x2
+    with pytest.raises(ValueError):
+        parse_element("[x99999999999999999999999]D2", 2)  # rejected before the tuple is built
