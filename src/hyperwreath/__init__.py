@@ -6,7 +6,7 @@ chain growing out of the translation subgroup, and the parametric regular
 abelian families, all in exact arithmetic.
 """
 
-from .ordinals import OrdinalCNF, compare, parse_ordinal, tdeg_of_monomial
+from .ordinals import OrdinalCNF, parse_ordinal, tdeg_of_monomial
 from .partitions import (
     EMPTY,
     Partition,
@@ -24,7 +24,7 @@ from .wreath import (
     parse_element,
     taylor_comm,
 )
-from .liering import LieElement, bracket, parse_lie, phi, phi_set
+from .liering import LieElement, bracket, parse_lie, phi
 from .chains import (
     ChainReport,
     SaturatedSet,
@@ -33,7 +33,6 @@ from .chains import (
     enumerate_N,
     h_func,
     idealizes,
-    layer_counts,
     lev,
     normalizes,
     r_func,
@@ -64,7 +63,6 @@ __all__ = [
     "SaturatedSet",
     "ChainReport",
     "RegularFamily",
-    "compare",
     "tdeg_of_monomial",
     "enumerate_partitions",
     "sequences_abc",
@@ -75,13 +73,11 @@ __all__ = [
     "leading_of_monomial_comm",
     "bracket",
     "phi",
-    "phi_set",
     "h_func",
     "r_func",
     "wdd",
     "lev",
     "enumerate_N",
-    "layer_counts",
     "verify_growth",
     "saturated_closure",
     "normalizes",

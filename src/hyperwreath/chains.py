@@ -16,7 +16,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
 from .liering import LieKey, bracket_keys
 from .ordinals import OrdinalCNF
@@ -115,15 +115,6 @@ class SaturatedSet:
     def _index(self) -> _KeyIndex:
         return _KeyIndex(m.lie_key() for m in self.basis)
 
-    def contains_monomial(self, m: MonomialElement) -> bool:
-        return m.monic_part() in self.basis
-
-    def contains_element(self, g: GroupElement) -> bool:
-        """Saturated membership: every constituent's monic part is in the basis."""
-        if g.n != self.n:
-            return False
-        return all(self.contains_monomial(m) for m in g.decompose())
-
     def lie_keys(self) -> FrozenSet[LieKey]:
         return frozenset(self._index.keys)
 
@@ -176,17 +167,6 @@ def enumerate_N(i: int, n: int) -> SaturatedSet:
     for j in range(0, i + 1):
         members |= _level_new_members(j, n)
     return SaturatedSet(n=n, basis=frozenset(members))
-
-
-def layer_counts(i: int, n: int) -> Tuple[Dict[int, int], int]:
-    """Counts by layer of the step-i increment (new generators at step i)."""
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    new = _level_new_members(i, n) - enumerate_N(i - 1, n).basis
-    counts = {k: 0 for k in range(1, n + 1)}
-    for m in new:
-        counts[m.layer] += 1
-    return counts, len(new)
 
 
 # -- growth report ---------------------------------------------------------------

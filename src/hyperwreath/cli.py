@@ -26,6 +26,14 @@ _CALC_TOKEN = re.compile(r"\s*(\[[^\]]*\]D\d+|[A-Za-z_][A-Za-z_0-9]*|\*|\(|\)|,|
 # Python frames of the recursive-descent parser.
 _MAX_CALC_DEPTH = 100
 
+# Largest variable exponent in a bracketed factor.  A product expands powers
+# of shifted variables, so its cost grows with the exponents it meets.
+_MAX_CALC_EXPONENT = 256
+
+# Largest --n of every command: far above the largest chain studied (n = 16),
+# and small enough that a layer tuple and the tables built from it stay cheap.
+_MAX_N = 64
+
 
 class CalcError(ValueError):
     def __init__(self, message: str, position: int):
@@ -95,9 +103,12 @@ def eval_expression(text: str, n: int) -> CalcValue:
         if word.startswith("["):
             take()
             try:
-                return wreath.parse_element(word, n)
+                value = wreath.parse_element(word, n)
             except ValueError as exc:
                 raise CalcError(str(exc), position) from exc
+            if any(v > _MAX_CALC_EXPONENT for f in value.layers for e in f.terms for v in e):
+                raise CalcError(f"variable exponent above {_MAX_CALC_EXPONENT}", position)
+            return value
         if word in ("inv", "comm", "phi", "tdeg"):
             take()
             take("(")
@@ -329,6 +340,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(merged)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    if args.n is not None and args.n > _MAX_N:
+        return _usage_error(f"--n must be <= {_MAX_N}")
     if args.command == "chain":
         return cmd_chain(args)
     if args.command == "verify":

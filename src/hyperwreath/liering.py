@@ -5,10 +5,11 @@ and the leading-term correspondence from the wreath product.
 from __future__ import annotations
 
 import re
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .ordinals import OrdinalCNF, tdeg_of_monomial
 from .partitions import Partition
+from .polyring import monomial_text, signed_sum
 from .wreath import GroupElement, MonomialElement, parse_layer_poly
 
 LieKey = Tuple[Partition, int]  # (exponent partition, layer of the derivation)
@@ -103,28 +104,11 @@ class LieElement:
 
     def render(self) -> str:
         """Canonical text, e.g. ``2*x1^2 d3 + x2 d4``; zero renders as ``0``."""
-        if not self.terms:
-            return "0"
-        pieces: List[str] = []
+        pieces: List[Tuple[int, str]] = []
         for (lam, k), c in self.sorted_terms():
-            factors = [
-                f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}"
-                for j, e in enumerate(lam.mults)
-                if e
-            ]
-            mag = abs(c)
-            if not factors:
-                head = "" if mag == 1 else str(mag)
-            elif mag == 1:
-                head = "*".join(factors)
-            else:
-                head = "*".join([str(mag)] + factors)
-            body = f"{head} d{k}" if head else f"d{k}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+            head = monomial_text(abs(c), lam.mults)
+            pieces.append((c, f"d{k}" if head == "1" else f"{head} d{k}"))
+        return signed_sum(pieces)
 
     def __repr__(self) -> str:
         return f"LieElement({self.render()!r}, n={self.n})"
@@ -181,11 +165,6 @@ def phi(g: GroupElement) -> LieElement:
     if g.is_identity:
         return LieElement.zero(g.n)
     return LieElement.from_monomial(g.leading_term())
-
-
-def phi_set(monomials: Iterable[MonomialElement]) -> FrozenSet[LieKey]:
-    """Elementwise image of a set of monic monomials as Lie basis keys."""
-    return frozenset(m.lie_key() for m in monomials)
 
 
 _LIE_TERM_RE = re.compile(r"^\s*(.*?)\s*d(\d+)\s*$")

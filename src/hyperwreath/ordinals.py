@@ -97,13 +97,6 @@ ZERO = OrdinalCNF()
 ONE = OrdinalCNF.from_int(1)
 
 
-def compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
-    """-1, 0 or 1 as ``a`` is less than, equal to or greater than ``b``."""
-    if a.terms == b.terms:
-        return 0
-    return -1 if a.terms < b.terms else 1
-
-
 def tdeg_of_monomial(lam: Partition, k: int, n: int) -> OrdinalCNF:
     """Transfinite degree of the monomial with exponent partition ``lam`` in layer ``k``.
 

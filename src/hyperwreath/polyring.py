@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
 Expo = Tuple[int, ...]
@@ -35,25 +35,30 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Union[Dict[Expo, Coeff], Iterable[Tuple[Expo, Coeff]], None] = None):
+    def __init__(self, terms: Optional[Dict[Expo, Coeff]] = None):
         data: Dict[Expo, Coeff] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for e, c in items:
-                e = _trim(e)
-                if any(v < 0 for v in e):
-                    raise ValueError("exponents must be non-negative")
-                c = data.get(e, 0) + c
-                if c == 0:
-                    data.pop(e, None)
-                else:
-                    data[e] = _norm_coeff(c)
+        for e, c in (terms or {}).items():
+            e = _trim(e)
+            if any(v < 0 for v in e):
+                raise ValueError("exponents must be non-negative")
+            c = data.get(e, 0) + c
+            if c == 0:
+                data.pop(e, None)
+            else:
+                data[e] = _norm_coeff(c)
         object.__setattr__(self, "terms", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms: Dict[Expo, Coeff]) -> "Poly":
+        """Wrap terms that are already trimmed, nonzero and normalized."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -113,16 +118,12 @@ class Poly:
                 data.pop(e, None)
             else:
                 data[e] = _norm_coeff(s)
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "terms", data)
-        return out
+        return Poly._of(data)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return Poly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["Poly", Coeff]) -> "Poly":
         if not isinstance(other, Poly):
@@ -136,11 +137,7 @@ class Poly:
         if not isinstance(other, Poly):
             if other == 0:
                 return Poly.zero()
-            out = Poly.__new__(Poly)
-            object.__setattr__(
-                out, "terms", {e: _norm_coeff(c * other) for e, c in self.terms.items()}
-            )
-            return out
+            return Poly._of({e: _norm_coeff(c * other) for e, c in self.terms.items()})
         data: Dict[Expo, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -156,9 +153,7 @@ class Poly:
                     data.pop(e, None)
                 else:
                     data[e] = _norm_coeff(s)
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "terms", data)
-        return out
+        return Poly._of(data)
 
     __rmul__ = __mul__
 
@@ -188,7 +183,7 @@ class Poly:
             ne = list(e)
             ne[j - 1] -= 1
             data[_trim(ne)] = _norm_coeff(c * e[j - 1])
-        return Poly(data)
+        return Poly._of(data)
 
     def substitute(self, subs: Sequence[Union["Poly", Coeff]]) -> "Poly":
         """Exact composition: replace x_j by subs[j-1] for every variable of self."""
@@ -270,33 +265,32 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces: List[str] = []
-        for e, c in self.sorted_terms():
-            factors = [
-                f"x{j + 1}" if exp == 1 else f"x{j + 1}^{exp}"
-                for j, exp in enumerate(e)
-                if exp
-            ]
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return signed_sum((c, monomial_text(abs(c), e)) for e, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"Poly({self.render()!r})"
 
     def __str__(self) -> str:
         return self.render()
+
+
+def monomial_text(mag: Coeff, e: Sequence[int]) -> str:
+    """Text of ``mag * x^e`` for a positive ``mag``, e.g. ``3*x1^2*x2``, ``x1`` or ``1``."""
+    factors = [f"x{j + 1}" if v == 1 else f"x{j + 1}^{v}" for j, v in enumerate(e) if v]
+    if mag != 1 or not factors:
+        factors.insert(0, str(mag))
+    return "*".join(factors)
+
+
+def signed_sum(terms: Iterable[Tuple[Coeff, str]]) -> str:
+    """Join ``(coeff, text of |coeff| * term)`` pairs as ``a + b - c``; ``0`` when empty."""
+    pieces: List[str] = []
+    for c, body in terms:
+        if pieces:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            pieces.append(body if c > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
 
 
 _POLY_TOKEN = re.compile(r"\s*(x\d+|\d+|[+\-*/^])")

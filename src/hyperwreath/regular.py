@@ -8,6 +8,7 @@ families into the even and odd classes over the integers.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Tuple
 
 from .chains import enumerate_N
@@ -116,24 +117,17 @@ def orbit_injectivity(family: RegularFamily, radius: int) -> bool:
         raise ValueError("radius must be >= 1")
     n = family.n
     span = range(-radius, radius + 1)
-    origin = (0,) * n
-    # products built incrementally over the grid, one generator at a time
-    seen = {}
     gen_powers = [{m: gen ** m for m in span} for gen in family.generators]
-
-    def rec(idx: int, acc: GroupElement, key: Tuple[int, ...]) -> bool:
-        if idx == n:
-            point = acc.act(origin)
-            if point in seen:
-                return False
-            seen[point] = key
-            return True
-        for m in span:
-            if not rec(idx + 1, acc * gen_powers[idx][m], key + (m,)):
-                return False
-        return True
-
-    return rec(0, GroupElement.identity(n), ())
+    seen = set()
+    for exps in itertools.product(span, repeat=n):
+        # act(g * h, x) == act(h, act(g, x)): apply the powers in product order
+        point = (0,) * n
+        for powers, m in zip(gen_powers, exps):
+            point = powers[m].act(point)
+        if point in seen:
+            return False
+        seen.add(point)
+    return True
 
 
 def conjugate_family(family: RegularFamily, d: int) -> RegularFamily:

@@ -42,41 +42,31 @@ def random_partition(rng: random.Random, max_part: int, max_wt: int) -> Partitio
     return rng.choice(options)
 
 
+# Nonzero coefficients of sampled monomials and group elements.
+_COEFFS = [c for c in range(-5, 6) if c]
+
+
 def random_monomial(
     rng: random.Random,
     n: int,
     max_wt: int = 4,
-    coeff_bound: int = 5,
     monic: bool = False,
     layer: Optional[int] = None,
-    nonempty: bool = False,
 ) -> wreath.MonomialElement:
     k = layer if layer is not None else rng.randint(1, n)
     lam = random_partition(rng, k - 1, max_wt)
-    if nonempty and lam.is_empty:
-        if k == 1:
-            raise ValueError("layer 1 admits only the empty partition")
-        lam = Partition.from_parts([rng.randint(1, k - 1)])
-    coeff = 1
-    if not monic:
-        coeff = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
+    coeff = 1 if monic else rng.choice(_COEFFS)
     return wreath.MonomialElement(coeff, lam, k, n)
 
 
-def random_group_element(
-    rng: random.Random,
-    n: int,
-    max_wt: int = 4,
-    coeff_bound: int = 5,
-    max_terms: int = 3,
-) -> wreath.GroupElement:
+def random_group_element(rng: random.Random, n: int) -> wreath.GroupElement:
+    """Up to three terms of weight at most 4 in each layer."""
     layers: List[Poly] = []
     for k in range(1, n + 1):
         acc = Poly.zero()
-        for _ in range(rng.randint(0, max_terms)):
-            lam = random_partition(rng, k - 1, max_wt)
-            coeff = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
-            acc = acc + Poly.monomial(coeff, lam.mults)
+        for _ in range(rng.randint(0, 3)):
+            lam = random_partition(rng, k - 1, 4)
+            acc = acc + Poly.monomial(rng.choice(_COEFFS), lam.mults)
         layers.append(acc)
     return wreath.GroupElement(n, layers)
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ordinals import OrdinalCNF, tdeg_of_monomial
 from .partitions import Partition
-from .polyring import Poly, parse_poly
+from .polyring import Poly, monomial_text, parse_poly, signed_sum
 
 
 class MonomialElement:
@@ -88,7 +88,8 @@ class MonomialElement:
         return hash((self.coeff, self.lam, self.layer, self.n))
 
     def render(self) -> str:
-        return f"[{Poly.monomial(self.coeff, self.lam.mults).render()}]D{self.layer}"
+        body = monomial_text(abs(self.coeff), self.lam.mults)
+        return f"[{signed_sum([(self.coeff, body)])}]D{self.layer}"
 
     def __repr__(self) -> str:
         return f"MonomialElement({self.render()!r}, n={self.n})"
@@ -345,11 +346,10 @@ def parse_element(text: str, n: int) -> GroupElement:
     text = text.strip()
     if text in ("1", ""):
         return GroupElement.identity(n)
-    acc = GroupElement.identity(n)
+    acc: Optional[GroupElement] = None
     pos = 0
-    first = True
     while pos < len(text):
-        if not first:
+        if acc is not None:
             m = re.match(r"\s*\*\s*", text[pos:])
             if not m:
                 raise ValueError(f"expected '*' at position {pos} in element {text!r}")
@@ -358,7 +358,7 @@ def parse_element(text: str, n: int) -> GroupElement:
         if not m:
             raise ValueError(f"expected '[poly]Dk' at position {pos} in element {text!r}")
         k = int(m.group(2))
-        acc = acc * GroupElement.from_layer_poly(parse_layer_poly(m.group(1), k, n), k, n)
+        factor = GroupElement.from_layer_poly(parse_layer_poly(m.group(1), k, n), k, n)
+        acc = factor if acc is None else acc * factor
         pos = m.end()
-        first = False
     return acc

@@ -123,6 +123,11 @@ def test_verify_unknown_suite(capsys):
         "calc [2^20000]D2 --n 2",
         "calc [2^10000*2^10000]D2 --n 2",
         "calc [2^99999999999]D2 --n 2",
+        "calc [1]D1*[x1^3000]D2 --n 2",
+        "calc [1]D1*[x1^99999999999]D2 --n 2",
+        "calc [1]D2 --n 99999999999999999999",
+        "chain --n 99999999999999999999 --imax 1",
+        "verify --suite group --n 99999999999999999999",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -159,6 +164,9 @@ def test_calc_examples(capsys):
 
     code, out, _ = run_cli(capsys, "calc", "phi([x1^2]D3)", "--n", "3")
     assert code == 0 and out.strip() == "x1^2 d3"
+
+    code, out, _ = run_cli(capsys, "calc", "[x1^256]D2", "--n", "2")
+    assert code == 0 and out.strip() == "[x1^256]D2"  # the largest exponent calc takes
 
 
 def test_calc_product_and_inverse(capsys):

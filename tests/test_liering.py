@@ -10,9 +10,7 @@ from hyperwreath.liering import (
     bracket_keys,
     parse_lie,
     phi,
-    phi_set,
 )
-from hyperwreath.chains import enumerate_N
 from hyperwreath.ordinals import ZERO, OrdinalCNF
 from hyperwreath.partitions import EMPTY, Partition
 from hyperwreath.polyring import Poly
@@ -83,16 +81,6 @@ def test_phi_intertwines_comm_and_bracket():
         lhs = phi(comm(a.to_group(), b.to_group()))
         rhs = bracket(LieElement.from_monomial(a), LieElement.from_monomial(b))
         assert lhs == rhs
-
-
-def test_phi_set_examples():
-    n = 3
-    gens = enumerate_N(-1, n).basis
-    keys = phi_set(gens)
-    assert keys == {(EMPTY, 1), (EMPTY, 2), (EMPTY, 3)}
-    n0 = enumerate_N(0, n).basis
-    assert len(phi_set(n0)) == len(n0) == 6
-    assert phi_set([]) == frozenset()
 
 
 def test_tdeg_lie_examples():

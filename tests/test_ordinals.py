@@ -8,7 +8,6 @@ from hyperwreath.ordinals import (
     ONE,
     ZERO,
     OrdinalCNF,
-    compare,
     parse_ordinal,
     tdeg_of_monomial,
 )
@@ -16,12 +15,13 @@ from hyperwreath.partitions import EMPTY, Partition, enumerate_partitions
 
 
 def test_compare_examples():
-    assert compare(OrdinalCNF.from_int(5), OrdinalCNF.omega_power(1)) == -1
+    assert OrdinalCNF.from_int(5) < OrdinalCNF.omega_power(1)
     w_plus_2 = OrdinalCNF(((1, 1), (0, 2)))
-    assert compare(w_plus_2, w_plus_2) == 0
+    assert w_plus_2 == OrdinalCNF.omega_power(1).successor().successor()
+    assert not w_plus_2 < w_plus_2 and not w_plus_2 > w_plus_2
     lhs = OrdinalCNF.omega_power(3)
     rhs = OrdinalCNF(((1, 7), (0, 100)))
-    assert compare(lhs, rhs) == 1
+    assert lhs > rhs
 
 
 def test_successor_examples():
@@ -107,13 +107,13 @@ def test_total_order_on_random_triples():
     for _ in range(300):
         a, b, c = rand_ord(), rand_ord(), rand_ord()
         # antisymmetry
-        assert (compare(a, b) == 0) == (a == b)
-        assert compare(a, b) == -compare(b, a)
+        assert (a <= b and b <= a) == (a == b)
+        assert (a < b) == (b > a)
         # transitivity
         if a <= b <= c:
             assert a <= c
-        # totality
-        assert compare(a, b) in (-1, 0, 1)
+        # totality: exactly one of <, ==, >
+        assert [a < b, a == b, a > b].count(True) == 1
 
 
 def test_no_zero_coefficients_stored():

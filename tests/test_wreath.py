@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import hyperwreath
+from hyperwreath.liering import LieElement, parse_lie
 from hyperwreath.ordinals import ZERO, OrdinalCNF
 from hyperwreath.partitions import EMPTY, Partition
 from hyperwreath.polyring import Poly
@@ -269,6 +271,25 @@ def test_render_parse_round_trip():
     assert parse_element("[x1^2+1]D4 * [x1]D2 * [3]D1", 4) == GroupElement(
         4, [Poly.constant(3), x1, Poly.zero(), x1 ** 2 + 1]
     )
+
+
+def test_monomial_render_matches_the_group_and_lie_forms():
+    rng = random.Random(606)
+    negative = units = unit_constants = 0
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        m = random_monomial(rng, n, max_wt=5)
+        assert m.render() == m.to_group().render()
+        lie = LieElement.from_monomial(m)
+        assert parse_lie(lie.render(), n) == lie
+        negative += m.coeff < 0
+        units += abs(m.coeff) == 1
+        unit_constants += abs(m.coeff) == 1 and m.lam.is_empty
+    assert negative > 500 and units > 200 and unit_constants > 50
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in hyperwreath.__all__ if not hasattr(hyperwreath, name)] == []
 
 
 def test_parse_element_rejects_garbage():
