@@ -34,6 +34,10 @@ _MAX_CALC_EXPONENT = 256
 # and small enough that a layer tuple and the tables built from it stay cheap.
 _MAX_N = 64
 
+# Largest --imax of chain and verify: the growth table's level sets and
+# partition tables grow with the step, and chain --n 8 at this cap takes seconds.
+_MAX_IMAX = 1000
+
 
 class CalcError(ValueError):
     def __init__(self, message: str, position: int):
@@ -342,6 +346,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code else 0
     if args.n is not None and args.n > _MAX_N:
         return _usage_error(f"--n must be <= {_MAX_N}")
+    if getattr(args, "imax", None) is not None and args.imax > _MAX_IMAX:
+        return _usage_error(f"--imax must be <= {_MAX_IMAX}")
     if args.command == "chain":
         return cmd_chain(args)
     if args.command == "verify":

@@ -109,6 +109,12 @@ def enumerate_partitions(
     ``num_parts=None`` leaves the number of parts unconstrained.  The result
     is duplicate-free and sorted lexicographically on the multiplicity
     vector, which fixes a deterministic order.
+
+    The recursion chooses the multiplicity of ``part``, then of ``part - 1``,
+    down to 1.  Every call can complete: with ``num_parts`` set, the
+    ``deg_left`` parts still to place each lie in ``[1, part]``, so a call is
+    made only when ``deg_left <= wt_left <= deg_left * part``.  The work
+    therefore grows with the output and not with the search.
     """
     if wt < 0 or (num_parts is not None and num_parts < 0):
         return []
@@ -116,26 +122,30 @@ def enumerate_partitions(
         max_part = wt
     if max_part < 0:
         return []
+    if wt == 0:
+        return [EMPTY] if num_parts in (None, 0) else []
+    effective_max = min(max_part, wt)
+    if effective_max == 0:
+        return []
+    if num_parts is not None and not num_parts <= wt <= num_parts * effective_max:
+        return []
 
     results: List[Partition] = []
 
     def rec(part: int, wt_left: int, deg_left: Optional[int], acc: List[int]):
-        if part == 0:
-            if wt_left == 0 and deg_left in (None, 0):
-                results.append(Partition(reversed(acc)))
-            return
         if part == 1:
-            # remaining weight must be made of 1's
-            if deg_left is not None and deg_left != wt_left:
-                return
+            # the rest is all 1's; with deg_left set the invariant gives deg_left == wt_left
             acc.append(wt_left)
-            rec(0, 0, 0 if deg_left is not None else None, acc)
+            results.append(Partition(reversed(acc)))
             acc.pop()
             return
-        top = wt_left // part
-        if deg_left is not None:
-            top = min(top, deg_left)
-        for mult in range(top + 1):
+        if deg_left is None:
+            low, top = 0, wt_left // part
+        else:
+            # keep deg_left - mult <= wt_left - mult * part <= (deg_left - mult) * (part - 1)
+            low = max(0, wt_left - deg_left * (part - 1))
+            top = min(deg_left, (wt_left - deg_left) // (part - 1))
+        for mult in range(low, top + 1):
             acc.append(mult)
             rec(
                 part - 1,
@@ -145,13 +155,6 @@ def enumerate_partitions(
             )
             acc.pop()
 
-    effective_max = min(max_part, wt) if wt > 0 else 0
-    if wt == 0:
-        if num_parts in (None, 0):
-            return [EMPTY]
-        return []
-    if effective_max == 0:
-        return []
     rec(effective_max, wt, num_parts, [])
     results.sort(key=lambda p: p.mults)
     return results

@@ -14,6 +14,7 @@ from hyperwreath.chains import (
     comm_constituents,
     constituent_keys,
     enumerate_N,
+    growth_threshold,
     h_func,
     idealizes,
     lev,
@@ -147,6 +148,55 @@ def test_growth_below_threshold_rows_unflagged():
     # the stable law genuinely fails below the threshold at n=5
     row4 = next(r for r in report.rows if r.i == 4)
     assert row4.total != row4.predicted_total
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_growth_threshold_is_attained(n):
+    # An observed fact, not a claim of the paper: out to three times the
+    # threshold, the law holds above it and fails at the threshold step itself.
+    threshold = growth_threshold(n)
+    report = verify_growth(n, 3 * threshold)
+    assert report.all_match
+    mismatches = [
+        row.i
+        for row in report.rows
+        if row.counts != row.predicted or row.total != row.predicted_total
+    ]
+    assert mismatches[-1] == threshold == (n - 4) * (n - 1)
+
+
+def exact_part_counts(max_part, max_parts, max_wt):
+    """``ways[d][wt]``: partitions of wt into exactly d parts, each part at
+    most ``max_part``, by a coin-style DP over part sizes."""
+    ways = [[0] * (max_wt + 1) for _ in range(max_parts + 1)]
+    ways[0][0] = 1
+    for part in range(1, max_part + 1):
+        for d in range(1, max_parts + 1):
+            for wt in range(part, max_wt + 1):
+                ways[d][wt] += ways[d - 1][wt - part]
+    return ways
+
+
+@pytest.mark.parametrize("n, i_max", [(6, 40), (8, 60)])
+def test_increment_counts_match_a_counting_route(n, i_max):
+    # A monomial's level function sees only (wdd, deg), so the layer-k
+    # increment at step i counts the partitions of every (deg, wt) whose first
+    # hit min{j : lev_j = j} is i; nothing is enumerated.
+    def first_hit(defect, deg):
+        return next((j for j in range(i_max + 1) if h_func(j, n) * defect + deg - 1 == j), None)
+
+    expected = {i: {k: 0 for k in range(1, n + 1)} for i in range(1, i_max + 1)}
+    # lev_j = j <= i_max with h_j >= 1 gives deg <= i_max + 1 and wdd <= i_max
+    max_wt = 2 * i_max + 1
+    for k in range(1, n + 1):
+        ways = exact_part_counts(k - 1, i_max + 1, max_wt)
+        for deg in range(1, i_max + 2):
+            for wt in range(deg, max_wt + 1):
+                i = first_hit(wt - deg + n - k, deg)
+                if i is not None and i >= 1:
+                    expected[i][k] += ways[deg][wt]
+    report = verify_growth(n, i_max)
+    assert {row.i: row.counts for row in report.rows} == expected
 
 
 def test_growth_degenerate_two_layer_chain():

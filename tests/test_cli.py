@@ -62,6 +62,10 @@ def test_chain_config_errors(capsys):
     assert "n >= 2" in err
     code, _, _ = run_cli(capsys, "chain", "--n", "4", "--imax", "0")
     assert code == 2
+    code, _, err = run_cli(capsys, "chain", "--n", "2", "--imax", "1001")
+    assert code == 2 and "--imax must be <= 1000" in err
+    code, _, _ = run_cli(capsys, "chain", "--n", "2", "--imax", "1000")  # the cap itself runs
+    assert code == 0
 
 
 def test_chain_writes_output_file(tmp_path, capsys):
@@ -128,6 +132,10 @@ def test_verify_unknown_suite(capsys):
         "calc [1]D2 --n 99999999999999999999",
         "chain --n 99999999999999999999 --imax 1",
         "verify --suite group --n 99999999999999999999",
+        "chain --n 4 --imax 99999999999999999999",
+        "chain --n 8 --imax 1001",
+        "verify --suite chain --imax 99999999999999999999",
+        "verify --suite chain --n 3 --imax 1001",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):

@@ -33,6 +33,56 @@ def brute_partitions(total, max_part=None):
     return out
 
 
+def unpruned_partitions(wt, num_parts=None, max_part=None):
+    """Reference enumerator: the search without feasibility pruning, which
+    explores every multiplicity up to the part and weight bounds and drops the
+    branches that end with weight or parts left over."""
+    if wt < 0 or (num_parts is not None and num_parts < 0):
+        return []
+    if max_part is None:
+        max_part = wt
+    if max_part < 0:
+        return []
+
+    results = []
+
+    def rec(part, wt_left, deg_left, acc):
+        if part == 0:
+            if wt_left == 0 and deg_left in (None, 0):
+                results.append(Partition(reversed(acc)))
+            return
+        if part == 1:
+            if deg_left is not None and deg_left != wt_left:
+                return
+            acc.append(wt_left)
+            rec(0, 0, 0 if deg_left is not None else None, acc)
+            acc.pop()
+            return
+        top = wt_left // part
+        if deg_left is not None:
+            top = min(top, deg_left)
+        for mult in range(top + 1):
+            acc.append(mult)
+            rec(
+                part - 1,
+                wt_left - mult * part,
+                None if deg_left is None else deg_left - mult,
+                acc,
+            )
+            acc.pop()
+
+    effective_max = min(max_part, wt) if wt > 0 else 0
+    if wt == 0:
+        if num_parts in (None, 0):
+            return [EMPTY]
+        return []
+    if effective_max == 0:
+        return []
+    rec(effective_max, wt, num_parts, [])
+    results.sort(key=lambda p: p.mults)
+    return results
+
+
 def test_weight_examples():
     assert EMPTY.weight == 0
     assert Partition.from_parts([1, 1, 2]).weight == 4
@@ -99,6 +149,19 @@ def test_enumerate_respects_num_parts():
             assert len(got) == len(expected)
             for p in got:
                 assert p.degree == deg
+
+
+def test_enumerate_matches_unpruned_reference_on_grid():
+    # the only inputs pruning changes combine num_parts with a max_part below wt
+    cases = 0
+    for wt in range(22):
+        for num_parts in [None, *range(23)]:
+            for max_part in [None, *range(14)]:
+                got = [p.mults for p in enumerate_partitions(wt, num_parts, max_part)]
+                want = [p.mults for p in unpruned_partitions(wt, num_parts, max_part)]
+                assert got == want, (wt, num_parts, max_part)
+                cases += 1
+    assert cases == 7920
 
 
 def test_enumerate_order_is_lexicographic_on_multiplicities():
