@@ -10,10 +10,12 @@ import argparse
 import inspect
 import re
 import sys
+from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import chains, liering, verify, wreath
 from .ordinals import OrdinalCNF
+from .polyring import Poly
 
 
 # -- calculator -----------------------------------------------------------------
@@ -30,13 +32,24 @@ _MAX_CALC_DEPTH = 100
 # of shifted variables, so its cost grows with the exponents it meets.
 _MAX_CALC_EXPONENT = 256
 
+# Largest degree a product or inverse may give a layer, by the a-priori bounds
+# below.  Degrees compound across layers: each product substitutes shifted
+# lower variables into the higher layers.  The cap lets a product keep the
+# degree one factor may have.
+_MAX_CALC_DEGREE = _MAX_CALC_EXPONENT
+
 # Largest --n of every command: far above the largest chain studied (n = 16),
 # and small enough that a layer tuple and the tables built from it stay cheap.
 _MAX_N = 64
 
-# Largest --imax of chain and verify: the growth table's level sets and
-# partition tables grow with the step, and chain --n 8 at this cap takes seconds.
+# Largest --imax of every command: the growth table's level sets and partition
+# tables grow with the step, and chain --n 8 at this cap takes seconds.
 _MAX_IMAX = 1000
+
+# Largest --imax of verify --suite chain, which checks one normalizer step per
+# i and whose closures grow with i: verify --suite chain --n 3 at this cap
+# takes about 5 s.
+_MAX_VERIFY_IMAX = 40
 
 
 class CalcError(ValueError):
@@ -58,6 +71,31 @@ def _tokenize_calc(text: str) -> List[Tuple[str, int]]:
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
     return tokens
+
+
+def _degree(f: Poly) -> int:
+    return max((sum(e) for e in f.terms), default=0)
+
+
+def _product_degrees(g: wreath.GroupElement, h: wreath.GroupElement) -> List[int]:
+    """Upper bounds on the layer degrees of ``g * h``: layer k of h is
+    composed with the images x_j - g_j, of degree at most max(1, deg g_j)."""
+    images = [max(1, _degree(f)) for f in g.layers]
+    return [
+        max(_degree(f), max((sum(map(mul, e, images)) for e in fh.terms), default=0))
+        for f, fh in zip(g.layers, h.layers)
+    ]
+
+
+def _inverse_degrees(g: wreath.GroupElement) -> List[int]:
+    """Upper bounds on the layer degrees of ``g``'s inverse: layer k is g_k
+    composed with the images x_j + (layer j of the inverse)."""
+    bounds: List[int] = []
+    images: List[int] = []
+    for f in g.layers:
+        bounds.append(max((sum(map(mul, e, images)) for e in f.terms), default=0))
+        images.append(max(1, bounds[-1]))
+    return bounds
 
 
 def eval_expression(text: str, n: int) -> CalcValue:
@@ -91,6 +129,22 @@ def eval_expression(text: str, n: int) -> CalcValue:
             raise CalcError(f"{what} needs a group element", position)
         return value
 
+    def bounded(degrees: List[int], what: str, position: int) -> None:
+        if max(degrees) > _MAX_CALC_DEGREE:
+            raise CalcError(f"{what} could reach layer degree {max(degrees)}, "
+                            f"above {_MAX_CALC_DEGREE}", position)
+
+    def product(g: CalcValue, h: CalcValue, position: int) -> wreath.GroupElement:
+        g = require_group(g, position, "product")
+        h = require_group(h, position, "product")
+        bounded(_product_degrees(g, h), "product", position)
+        return g * h
+
+    def inverse(g: CalcValue, position: int) -> wreath.GroupElement:
+        g = require_group(g, position, "inv")
+        bounded(_inverse_degrees(g), "inverse", position)
+        return g.inverse()
+
     def parse_factor(depth: int) -> CalcValue:
         tok = peek()
         if tok is None:
@@ -121,13 +175,14 @@ def eval_expression(text: str, n: int) -> CalcValue:
                 take(",")
                 second = parse_expr(depth + 1)
                 take(")")
-                return wreath.comm(
-                    require_group(first, position, "comm"),
-                    require_group(second, position, "comm"),
-                )
+                g = require_group(first, position, "comm")
+                h = require_group(second, position, "comm")
+                # wreath.comm's g^-1 h^-1 g h, one bounded step at a time
+                return product(product(product(inverse(g, position), inverse(h, position),
+                                               position), g, position), h, position)
             take(")")
             if word == "inv":
-                return require_group(first, position, "inv").inverse()
+                return inverse(first, position)
             if word == "phi":
                 return liering.phi(require_group(first, position, "phi"))
             if isinstance(first, liering.LieElement):
@@ -146,10 +201,7 @@ def eval_expression(text: str, n: int) -> CalcValue:
             if tok is None or tok[0] != "*":
                 return value
             take()
-            rhs = parse_factor(depth)
-            value = require_group(value, start, "product") * require_group(
-                rhs, start, "product"
-            )
+            value = product(value, parse_factor(depth), start)
 
     result = parse_expr(0)
     if idx < len(tokens):
@@ -230,6 +282,8 @@ def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str
     for dest, least in (("n", 2), ("imax", 1), ("radius", 1)):
         if dest in options and options[dest] < least:
             return f"{_flag(dest)} must be >= {least}"
+    if options.get("imax", 0) > _MAX_VERIFY_IMAX:
+        return f"verify takes --imax <= {_MAX_VERIFY_IMAX}"
     if "wt_bound" in options:
         params = inspect.signature(verify.SUITES[suite]).parameters
         ns = (options["n"],) if "n" in options else params["ns"].default

@@ -11,13 +11,17 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
 Expo = Tuple[int, ...]
+Terms = Dict[Expo, Coeff]
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -28,6 +32,27 @@ def _trim(e: Sequence[int]) -> Expo:
     while e and e[-1] == 0:
         e = e[:-1]
     return e
+
+
+def _mul_terms(a: Terms, b: Terms) -> Terms:
+    """Product of two term dicts that are trimmed, nonzero and normalized.
+
+    Exponent sums stay trimmed: the longer tuple ends in a nonzero entry.
+    """
+    out: Terms = {}
+    get = out.get
+    for e1, c1 in a.items():
+        n1 = len(e1)
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            if n1 != len(e2):
+                e += e1[len(e2):] if n1 > len(e2) else e2[n1:]
+            s = get(e, 0) + c1 * c2
+            if s:
+                out[e] = s if type(s) is int else _norm_coeff(s)
+            else:
+                del out[e]
+    return out
 
 
 class Poly:
@@ -62,18 +87,18 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._of({})
 
     @classmethod
     def constant(cls, c: Coeff) -> "Poly":
-        return cls({(): c} if c else None)
+        return cls._of({(): _norm_coeff(c)} if c else {})
 
     @classmethod
     def variable(cls, j: int) -> "Poly":
         """The variable x_j (1-indexed)."""
         if j < 1:
             raise ValueError("variable index must be >= 1")
-        return cls({(0,) * (j - 1) + (1,): 1})
+        return cls._of({(0,) * (j - 1) + (1,): 1})
 
     @classmethod
     def monomial(cls, coeff: Coeff, exponents: Sequence[int]) -> "Poly":
@@ -138,37 +163,22 @@ class Poly:
             if other == 0:
                 return Poly.zero()
             return Poly._of({e: _norm_coeff(c * other) for e, c in self.terms.items()})
-        data: Dict[Expo, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                if len(e1) < len(e2):
-                    e1p, e2p = e2, e1
-                else:
-                    e1p, e2p = e1, e2
-                e = tuple(
-                    v + (e2p[i] if i < len(e2p) else 0) for i, v in enumerate(e1p)
-                )
-                s = data.get(e, 0) + c1 * c2
-                if s == 0:
-                    data.pop(e, None)
-                else:
-                    data[e] = _norm_coeff(s)
-        return Poly._of(data)
+        return Poly._of(_mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Poly":
         if power < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Poly.constant(1)
-        base = self
+        result: Terms = {(): 1}
+        base = self.terms
         while power:
             if power & 1:
-                result = result * base
+                result = _mul_terms(result, base)
             power >>= 1
             if power:
-                base = base * base
-        return result
+                base = _mul_terms(base, base)
+        return Poly._of(result)
 
     # -- calculus and composition -------------------------------------------
 
@@ -186,29 +196,30 @@ class Poly:
         return Poly._of(data)
 
     def substitute(self, subs: Sequence[Union["Poly", Coeff]]) -> "Poly":
-        """Exact composition: replace x_j by subs[j-1] for every variable of self."""
+        """Exact composition: replace x_j by subs[j-1] for every variable of self.
+
+        ``subs`` may be a ``PowerTable``, whose powers then serve every
+        polynomial substituted through it.
+        """
         nv = self.nvars
         if len(subs) < nv:
             raise ValueError(f"need {nv} substitutions, got {len(subs)}")
-        images: List[Poly] = [
-            s if isinstance(s, Poly) else Poly.constant(s) for s in subs[:nv]
-        ]
-        # cache powers of each image up to the largest exponent used
-        pow_cache: List[List[Poly]] = []
-        for j in range(nv):
-            top = self.deg_in(j + 1)
-            powers = [Poly.constant(1)]
-            for _ in range(top):
-                powers.append(powers[-1] * images[j])
-            pow_cache.append(powers)
-        acc = Poly.zero()
+        table = subs if isinstance(subs, PowerTable) else PowerTable(subs[:nv])
+        out: Terms = {}
+        get = out.get
         for e, c in self.terms.items():
-            term = Poly.constant(c)
-            for j, exp in enumerate(e):
-                if exp:
-                    term = term * pow_cache[j][exp]
-            acc = acc + term
-        return acc
+            prod: Optional[Terms] = None
+            for j, k in enumerate(e):
+                if k:
+                    pw = table.power(j, k)
+                    prod = pw if prod is None else _mul_terms(prod, pw)
+            for e2, c2 in (prod if prod is not None else {(): 1}).items():
+                s = get(e2, 0) + c * c2
+                if s:
+                    out[e2] = s if type(s) is int else _norm_coeff(s)
+                else:
+                    del out[e2]
+        return Poly._of(out)
 
     def difference(self, j: int, h: Union["Poly", Coeff]) -> "Poly":
         """Finite difference along x_j with increment ``h``: p(x + h e_j) - p(x).
@@ -224,20 +235,9 @@ class Poly:
             raise ValueError(
                 f"increment for variable x{j} may only use x1..x{j - 1}"
             )
-        shifted_var = Poly.variable(j) + hp
-        top = self.deg_in(j)
-        powers = [Poly.constant(1)]
-        for _ in range(top):
-            powers.append(powers[-1] * shifted_var)
-        acc = Poly.zero()
-        for e, c in self.terms.items():
-            ej = e[j - 1] if len(e) >= j else 0
-            rest = list(e)
-            if len(rest) >= j:
-                rest[j - 1] = 0
-            base = Poly.monomial(c, rest)
-            acc = acc + (base * powers[ej] if ej else base)
-        return acc - self
+        images = [Poly.variable(i) for i in range(1, max(self.nvars, j) + 1)]
+        images[j - 1] = images[j - 1] + hp
+        return self.substitute(images) - self
 
     def evaluate(self, point: Sequence[Coeff]) -> Coeff:
         """Exact value at an integer or rational point."""
@@ -272,6 +272,37 @@ class Poly:
 
     def __str__(self) -> str:
         return self.render()
+
+
+class PowerTable:
+    """Powers of substitution images, each computed on first use.
+
+    ``Poly.substitute`` takes a table wherever it takes a list of images.
+    Handing one table to several substitutions, such as the layers of one
+    group product, computes each power of each image once.
+    """
+
+    __slots__ = ("_powers",)
+
+    def __init__(self, images: Iterable[Union[Poly, Coeff]] = ()):
+        self._powers: List[List[Terms]] = []
+        for image in images:
+            self.append(image)
+
+    def append(self, image: Union[Poly, Coeff]) -> None:
+        if not isinstance(image, Poly):
+            image = Poly.constant(image)
+        self._powers.append([{(): 1}, image.terms])
+
+    def __len__(self) -> int:
+        return len(self._powers)
+
+    def power(self, j: int, e: int) -> Terms:
+        """Terms of image ``j`` (from 0) to the power ``e``; callers must not mutate them."""
+        powers = self._powers[j]
+        while len(powers) <= e:
+            powers.append(_mul_terms(powers[-1], powers[1]))
+        return powers[e]
 
 
 def monomial_text(mag: Coeff, e: Sequence[int]) -> str:

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ordinals import OrdinalCNF, tdeg_of_monomial
 from .partitions import Partition
-from .polyring import Poly, monomial_text, parse_poly, signed_sum
+from .polyring import Poly, PowerTable, monomial_text, parse_poly, signed_sum
 
 
 class MonomialElement:
@@ -122,6 +122,15 @@ class GroupElement:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, n: int, layers: Tuple[Poly, ...]) -> "GroupElement":
+        """Wrap layers that are valid by construction, such as the result of
+        a group operation on valid elements."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "layers", layers)
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "GroupElement":
         return cls(n, [Poly.zero()] * n)
 
@@ -162,24 +171,23 @@ class GroupElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("elements live in different groups")
-        shifted: List[Poly] = []  # x_i - f_{i-1}, the action of self on coordinates
+        # x_i - f_{i-1}, the action of self on coordinates, with its powers
+        shifted = PowerTable()
         out: List[Poly] = []
         for k in range(self.n):
-            g = other.layers[k]
-            out.append(self.layers[k] + (g.substitute(shifted) if not g.is_constant else g))
+            out.append(self.layers[k] + other.layers[k].substitute(shifted))
             shifted.append(Poly.variable(k + 1) - self.layers[k])
-        return GroupElement(self.n, out)
+        return GroupElement._of(self.n, tuple(out))
 
     def inverse(self) -> "GroupElement":
         """Triangular back-substitution: recover original coordinates layer by layer."""
-        original: List[Poly] = []  # x_i expressed in the moved coordinates
+        original = PowerTable()  # x_i expressed in the moved coordinates
         out: List[Poly] = []
         for k in range(self.n):
-            f = self.layers[k]
-            moved = f.substitute(original) if not f.is_constant else f
+            moved = self.layers[k].substitute(original)
             out.append(-moved)
             original.append(Poly.variable(k + 1) + moved)
-        return GroupElement(self.n, out)
+        return GroupElement._of(self.n, tuple(out))
 
     def __pow__(self, power: int) -> "GroupElement":
         if power < 0:
@@ -196,7 +204,9 @@ class GroupElement:
 
     def scalar_mul(self, d: int) -> "GroupElement":
         """Module action of the coefficient ring: multiply every layer by d."""
-        return GroupElement(self.n, [f * d for f in self.layers])
+        if not isinstance(d, int):
+            raise ValueError(f"scalar must be an integer, got {d!r}")
+        return GroupElement._of(self.n, tuple(f * d for f in self.layers))
 
     # -- monomial decomposition and grading ----------------------------------
 

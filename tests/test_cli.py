@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from hyperwreath import verify
-from hyperwreath.cli import CalcError, eval_expression, main, suite_options
+from hyperwreath.cli import (CalcError, _inverse_degrees, _product_degrees, eval_expression,
+                             main, suite_options)
 from hyperwreath.verify import random_group_element
 from hyperwreath.wreath import GroupElement, parse_element
 
@@ -136,6 +137,10 @@ def test_verify_unknown_suite(capsys):
         "chain --n 8 --imax 1001",
         "verify --suite chain --imax 99999999999999999999",
         "verify --suite chain --n 3 --imax 1001",
+        "verify --suite chain --n 2 --imax 41",
+        "calc [x1^4]D2*[x2^4]D3*[x3^4]D4*[x4^4]D5*[x5^4]D6 --n 6",
+        "calc inv([x2^200]D3*[x1^2]D2) --n 3",
+        "calc comm([x2^200]D3,[x1^2]D2) --n 3",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -175,6 +180,29 @@ def test_calc_examples(capsys):
 
     code, out, _ = run_cli(capsys, "calc", "[x1^256]D2", "--n", "2")
     assert code == 0 and out.strip() == "[x1^256]D2"  # the largest exponent calc takes
+
+
+def test_verify_takes_imax_up_to_its_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "chain", "--n", "2", "--imax", "40")
+    assert code == 0 and out.splitlines()[-1] == "all properties hold (42/42)"
+
+
+def test_calc_degree_bounds_hold_on_random_elements():
+    rng = random.Random(4)
+    for n in (2, 3, 4, 5):
+        elements = [random_group_element(rng, n) for _ in range(8)]
+        elements += [a * b for a, b in zip(elements, elements[1:])]
+        for g, h in zip(elements, elements[1:]):
+            for bound, result in ((_product_degrees(g, h), g * h), (_inverse_degrees(g), g.inverse())):
+                assert all(max((sum(e) for e in f.terms), default=0) <= b
+                           for f, b in zip(result.layers, bound))
+
+
+def test_calc_keeps_products_within_the_degree_cap(capsys):
+    code, out, _ = run_cli(capsys, "calc", "[1]D1 * [x1^256]D2", "--n", "2")
+    assert code == 0 and out.startswith("[x1^256 - 256*x1^255 + ")
+    code, out, _ = run_cli(capsys, "calc", "inv([x1^16]D2 * [x2^16]D3)", "--n", "3")
+    assert code == 0
 
 
 def test_calc_product_and_inverse(capsys):

@@ -1,0 +1,209 @@
+"""The polynomial kernel under the group product, checked against a reference.
+
+The reference below is the straightforward kernel: term products built through
+the validating ``Poly`` constructor, substitution summed term by term with
+``Poly`` ``+``, and the group product and inverse assembled layer by layer
+without shared power tables.  The library's kernel must agree with it exactly.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hyperwreath.polyring import Poly, PowerTable
+from hyperwreath.verify import random_group_element
+from hyperwreath.wreath import GroupElement
+
+x1, x2, x3 = (Poly.variable(j) for j in (1, 2, 3))
+
+
+# -- reference kernel ----------------------------------------------------------------
+
+
+def ref_mul(p, q):
+    out = Poly.zero()
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            width = max(len(e1), len(e2))
+            pad1 = e1 + (0,) * (width - len(e1))
+            pad2 = e2 + (0,) * (width - len(e2))
+            out = out + Poly.monomial(c1 * c2, [a + b for a, b in zip(pad1, pad2)])
+    return out
+
+
+def ref_power(p, e):
+    out = Poly.constant(1)
+    for _ in range(e):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_substitute(p, subs):
+    images = [s if isinstance(s, Poly) else Poly.constant(s) for s in subs[: p.nvars]]
+    acc = Poly.zero()
+    for e, c in p.terms.items():
+        term = Poly.constant(c)
+        for j, exp in enumerate(e):
+            if exp:
+                term = ref_mul(term, ref_power(images[j], exp))
+        acc = acc + term
+    return acc
+
+
+def ref_difference(p, j, h):
+    shifted = Poly.variable(j) + h
+    acc = Poly.zero()
+    for e, c in p.terms.items():
+        ej = e[j - 1] if len(e) >= j else 0
+        rest = list(e)
+        if len(rest) >= j:
+            rest[j - 1] = 0
+        acc = acc + ref_mul(Poly.monomial(c, rest), ref_power(shifted, ej))
+    return acc - p
+
+
+def ref_group_mul(g, h):
+    shifted, out = [], []
+    for k in range(g.n):
+        f = h.layers[k]
+        out.append(g.layers[k] + (ref_substitute(f, shifted) if not f.is_constant else f))
+        shifted.append(Poly.variable(k + 1) - g.layers[k])
+    return GroupElement(g.n, out)
+
+
+def ref_inverse(g):
+    original, out = [], []
+    for k in range(g.n):
+        f = g.layers[k]
+        moved = ref_substitute(f, original) if not f.is_constant else f
+        out.append(-moved)
+        original.append(Poly.variable(k + 1) + moved)
+    return GroupElement(g.n, out)
+
+
+# -- random inputs ---------------------------------------------------------------------
+
+_RATIONALS = [Fraction(a, b) for a in range(-3, 4) if a for b in (1, 2, 3)]
+
+
+def rand_poly(rng, nvars, rational=False, terms=4, max_deg=3):
+    coeffs = _RATIONALS if rational else [c for c in range(-4, 5) if c]
+    acc = Poly.zero()
+    for _ in range(rng.randint(0, terms)):
+        exps = [rng.randint(0, max_deg) for _ in range(nvars)]
+        acc = acc + Poly.monomial(rng.choice(coeffs), exps)
+    return acc
+
+
+def rand_point(rng, size, rational):
+    if rational:
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(size)]
+    return [rng.randint(-5, 5) for _ in range(size)]
+
+
+def assert_normalized(p):
+    """Integer values are stored as int, never as a Fraction over 1."""
+    assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+
+def seeded_elements(n, count, seed):
+    """Random elements plus products of them, which have more and larger terms."""
+    rng = random.Random(seed * 100 + n)
+    base = [random_group_element(rng, n) for _ in range(count)]
+    return base + [a * b for a, b in zip(base, base[1:])]
+
+
+# -- the group product and inverse ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_product_and_inverse_match_the_reference_kernel(n):
+    elements = seeded_elements(n, 12, seed=1)
+    for g, h in zip(elements, elements[1:] + elements[:1]):
+        assert g * h == ref_group_mul(g, h)
+        assert g.inverse() == ref_inverse(g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_group_results_pass_the_validating_constructor(n):
+    elements = seeded_elements(n, 12, seed=2)
+    for g, h in zip(elements, elements[1:]):
+        for result in (g * h, g.inverse(), g.scalar_mul(-3), (g * h).inverse() * g):
+            # raises when a layer is not integral or uses x_k or above in layer k
+            assert GroupElement(n, result.layers) == result
+
+
+def test_scalar_mul_refuses_a_non_integer():
+    with pytest.raises(ValueError):
+        GroupElement.delta(1, 2).scalar_mul(Fraction(1, 2))
+
+
+# -- substitution, products and differences ------------------------------------------------
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_substitute_matches_the_reference_kernel(rational):
+    rng = random.Random(3 + rational)
+    for _ in range(60):
+        p = rand_poly(rng, 3, rational)
+        subs = [rand_poly(rng, 4, rational, terms=3, max_deg=2) for _ in range(3)]
+        got = p.substitute(subs)
+        assert got == ref_substitute(p, subs)
+        assert_normalized(got)
+
+
+def test_one_power_table_serves_several_substitutions():
+    rng = random.Random(5)
+    for _ in range(20):
+        subs = [rand_poly(rng, 3, rational=True, terms=3, max_deg=2) for _ in range(3)]
+        table = PowerTable()
+        for k, image in enumerate(subs):
+            p = rand_poly(rng, k, rational=True)
+            assert p.substitute(table) == ref_substitute(p, subs[:k])
+            table.append(image)
+
+
+def test_fraction_sums_return_to_int():
+    half = Fraction(1, 2)
+    p = Poly({(1,): half, (0, 1): half})
+    got = p.substitute([x3, x3])
+    assert got == x3 and type(got.terms[(0, 0, 1)]) is int
+    square = (Poly.constant(half) * x1 + half) * (x1 * 2 - 1)
+    assert square == x1 ** 2 - Poly.constant(half) * x1 + x1 - half
+    assert_normalized(square)
+    assert_normalized(Poly({(1,): Fraction(3, 2)}) ** 2 * Fraction(4, 9))
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_products_and_powers_match_the_reference_kernel(rational):
+    rng = random.Random(7 + rational)
+    for _ in range(60):
+        p = rand_poly(rng, 3, rational)
+        q = rand_poly(rng, 4, rational)
+        assert p * q == ref_mul(p, q)
+        assert p ** 3 == ref_power(p, 3)
+        assert_normalized(p * q)
+
+
+def test_difference_matches_the_reference_kernel():
+    rng = random.Random(11)
+    for _ in range(60):
+        p = rand_poly(rng, 4)
+        j = rng.randint(1, 4)
+        h = rand_poly(rng, j - 1, terms=2, max_deg=2)
+        assert p.difference(j, h) == ref_difference(p, j, h)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_evaluation_is_a_ring_homomorphism(rational):
+    rng = random.Random(13 + rational)
+    for _ in range(60):
+        p = rand_poly(rng, 3, rational)
+        q = rand_poly(rng, 3, rational)
+        subs = [rand_poly(rng, 2, rational, terms=3, max_deg=2) for _ in range(3)]
+        for point in (rand_point(rng, 3, False), rand_point(rng, 3, True)):
+            assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+            assert (p ** 2).evaluate(point) == p.evaluate(point) ** 2
+            images = [s.evaluate(point) for s in subs]
+            assert p.substitute(subs).evaluate(point) == p.evaluate(images)

@@ -1,8 +1,14 @@
 """Suite registry, determinism and the chain suite."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from hyperwreath import verify, wreath
+from hyperwreath import cli, verify, wreath
+
+# The benchmark's recorded outputs of verify --suite all, read here only.
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 def test_chain_suite_passes():
@@ -10,11 +16,11 @@ def test_chain_suite_passes():
     assert results and all(r.passed for r in results)
 
 
-def test_run_suite_all_aggregates():
-    results = verify.run_suite(
-        "regular", 0, ns=(2,), c_range=(-1, 1), radius=1
-    )
-    assert results and all(r.passed for r in results)
+def test_run_suite_all_aggregates(capsys):
+    reference = json.loads(REFERENCES.read_text())["suites.seed0"]
+    code = cli.main(["verify", "--suite", "all", "--seed", "0"])
+    assert capsys.readouterr().out.splitlines() == reference["lines"]
+    assert code == reference["exit"]
 
 
 def test_run_suite_all_rejects_options():
