@@ -478,9 +478,10 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
     bounded monomials normalizing the closure of the previous step, and the
     Lie-side idealizer test mirrors every verdict.
     """
-    if wt_bound is None:
-        wt_bound = 2 * (i + 2)
     prev = enumerate_N(i - 1, n)
+    if wt_bound is None:
+        # from n = 8 on, the first generators are heavier than 2 * (i + 2)
+        wt_bound = max(2 * (i + 2), max((m.wt for m in prev.basis), default=0))
     closure = saturated_closure(prev.basis, wt_bound, n=n)
     target = prev.basis | _level_new_members(i, n)
     h_keys = closure.lie_keys()

@@ -10,8 +10,9 @@ import argparse
 import inspect
 import re
 import sys
-from operator import mul
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import zip_longest
+from math import comb, prod
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from . import chains, liering, verify, wreath
 from .ordinals import OrdinalCNF
@@ -38,6 +39,12 @@ _MAX_CALC_EXPONENT = 256
 # degree one factor may have.
 _MAX_CALC_DEGREE = _MAX_CALC_EXPONENT
 
+# Largest number of terms a product or inverse may give a layer, by the same
+# a-priori bounds.  A degree cap does not bound the terms when many variables
+# share the degree: [x1^2]D2 * [x2^2]D3 * ... * [x7^2]D8 keeps degree 128 but
+# has 27,337 terms in its top layer and takes seconds.
+_MAX_CALC_TERMS = 10_000
+
 # Largest --n of every command: far above the largest chain studied (n = 16),
 # and small enough that a layer tuple and the tables built from it stay cheap.
 _MAX_N = 64
@@ -46,10 +53,14 @@ _MAX_N = 64
 # tables grow with the step, and chain --n 8 at this cap takes seconds.
 _MAX_IMAX = 1000
 
-# Largest --imax of verify --suite chain, which checks one normalizer step per
-# i and whose closures grow with i: verify --suite chain --n 3 at this cap
-# takes about 5 s.
-_MAX_VERIFY_IMAX = 40
+# Largest --imax of verify --suite chain by --n, as (largest n, cap) bands.
+# The suite checks one normalizer step per i, and a step's weight bound, its
+# closure and its candidates grow with i and n.  At its cap each single-n run
+# took at most about 4 s, interpreter start included, on a 2-vCPU VM under
+# Python 3.11.  Above the last band even the first step takes seconds, and
+# --n is refused.
+_VERIFY_IMAX_CAPS = ((2, 40), (3, 32), (4, 20), (5, 16), (6, 13), (7, 11), (10, 9),
+                     (14, 7), (16, 6), (18, 2), (20, 1))
 
 
 class CalcError(ValueError):
@@ -73,29 +84,70 @@ def _tokenize_calc(text: str) -> List[Tuple[str, int]]:
     return tokens
 
 
-def _degree(f: Poly) -> int:
-    return max((sum(e) for e in f.terms), default=0)
+class _Size(NamedTuple):
+    """Bounds on a layer: its total degree, its degree in each of x1, x2, ...
+    and its number of terms."""
+
+    degree: int
+    degrees: Tuple[int, ...]
+    terms: int
 
 
-def _product_degrees(g: wreath.GroupElement, h: wreath.GroupElement) -> List[int]:
-    """Upper bounds on the layer degrees of ``g * h``: layer k of h is
-    composed with the images x_j - g_j, of degree at most max(1, deg g_j)."""
-    images = [max(1, _degree(f)) for f in g.layers]
-    return [
-        max(_degree(f), max((sum(map(mul, e, images)) for e in fh.terms), default=0))
-        for f, fh in zip(g.layers, h.layers)
-    ]
+def _size(f: Poly) -> _Size:
+    """The exact size of ``f``."""
+    return _Size(max(map(sum, f.terms), default=0),
+                 tuple(map(max, zip_longest(*f.terms, fillvalue=0))), len(f.terms))
 
 
-def _inverse_degrees(g: wreath.GroupElement) -> List[int]:
-    """Upper bounds on the layer degrees of ``g``'s inverse: layer k is g_k
-    composed with the images x_j + (layer j of the inverse)."""
-    bounds: List[int] = []
-    images: List[int] = []
-    for f in g.layers:
-        bounds.append(max((sum(map(mul, e, images)) for e in f.terms), default=0))
-        images.append(max(1, bounds[-1]))
-    return bounds
+def _shifted(k: int, size: _Size) -> _Size:
+    """Bounds on x_(k+1) - f or x_(k+1) + f, for any f in x1..xk within ``size``."""
+    degrees = size.degrees + (0,) * (k - len(size.degrees)) + (1,)
+    return _Size(max(1, size.degree), degrees, size.terms + 1)
+
+
+def _composed(f: Poly, images: List[_Size], plus: _Size) -> _Size:
+    """Bounds on ``plus`` + f with x_j replaced by a polynomial within image j - 1.
+
+    A term x^e gives a product of powers of images.  A power p^v has at most
+    comb(t + v - 1, v) terms when p has t, and no layer has more terms than
+    the exponent vectors its per-variable degrees allow.
+    """
+    degree, terms = plus.degree, plus.terms
+    degrees = list(plus.degrees) + [0] * (len(images) - len(plus.degrees))
+    for e in f.terms:
+        row = [0] * len(images)
+        count = 1
+        for image, v in zip(images, e):
+            if v:
+                for i, d in enumerate(image.degrees):
+                    row[i] += v * d
+                count *= comb(image.terms + v - 1, v)
+        degree = max(degree, sum(v * image.degree for image, v in zip(images, e)))
+        degrees = list(map(max, degrees, row))
+        terms += count
+    return _Size(degree, tuple(degrees), min(terms, prod(d + 1 for d in degrees)))
+
+
+def _product_sizes(g: wreath.GroupElement, h: wreath.GroupElement) -> Iterator[_Size]:
+    """Bounds on the layers of ``g * h``: layer k is g_k plus layer k of h
+    composed with the images x_j - g_j."""
+    images = [_shifted(j, _size(f)) for j, f in enumerate(g.layers)]
+    for k, (f, fh) in enumerate(zip(g.layers, h.layers)):
+        yield _composed(fh, images[:k], _size(f))
+
+
+def _inverse_sizes(g: wreath.GroupElement) -> Iterator[_Size]:
+    """Bounds on the layers of ``g``'s inverse: layer k is minus g_k composed
+    with the images x_j + (layer j of the inverse).
+
+    Bounds compound from layer to layer, so callers that refuse a layer over
+    a cap should stop there rather than bound the layers above it.
+    """
+    images: List[_Size] = []
+    for k, f in enumerate(g.layers):
+        size = _composed(f, images, _Size(0, (), 0))
+        yield size
+        images.append(_shifted(k, size))
 
 
 def eval_expression(text: str, n: int) -> CalcValue:
@@ -129,20 +181,24 @@ def eval_expression(text: str, n: int) -> CalcValue:
             raise CalcError(f"{what} needs a group element", position)
         return value
 
-    def bounded(degrees: List[int], what: str, position: int) -> None:
-        if max(degrees) > _MAX_CALC_DEGREE:
-            raise CalcError(f"{what} could reach layer degree {max(degrees)}, "
-                            f"above {_MAX_CALC_DEGREE}", position)
+    def bounded(sizes: Iterator[_Size], what: str, position: int) -> None:
+        for size in sizes:  # lowest layer first, up to the first one over a cap
+            if size.degree > _MAX_CALC_DEGREE:
+                raise CalcError(f"{what} could reach layer degree {size.degree}, "
+                                f"above {_MAX_CALC_DEGREE}", position)
+            if size.terms > _MAX_CALC_TERMS:
+                raise CalcError(f"{what} could give a layer more than {_MAX_CALC_TERMS} "
+                                f"terms", position)
 
     def product(g: CalcValue, h: CalcValue, position: int) -> wreath.GroupElement:
         g = require_group(g, position, "product")
         h = require_group(h, position, "product")
-        bounded(_product_degrees(g, h), "product", position)
+        bounded(_product_sizes(g, h), "product", position)
         return g * h
 
     def inverse(g: CalcValue, position: int) -> wreath.GroupElement:
         g = require_group(g, position, "inv")
-        bounded(_inverse_degrees(g), "inverse", position)
+        bounded(_inverse_sizes(g), "inverse", position)
         return g.inverse()
 
     def parse_factor(depth: int) -> CalcValue:
@@ -267,6 +323,12 @@ def cmd_chain(args: argparse.Namespace) -> int:
     return 0 if report.all_match else 1
 
 
+def _verify_imax_cap(n: int) -> Optional[int]:
+    """The largest --imax verify --suite chain takes at ``n``, or None when it
+    does not take that --n."""
+    return next((cap for largest, cap in _VERIFY_IMAX_CAPS if n <= largest), None)
+
+
 def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str]:
     """Why ``options`` (the set suite options) cannot run ``suite``, or None."""
     if suite == "all":
@@ -282,12 +344,18 @@ def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str
     for dest, least in (("n", 2), ("imax", 1), ("radius", 1)):
         if dest in options and options[dest] < least:
             return f"{_flag(dest)} must be >= {least}"
-    if options.get("imax", 0) > _MAX_VERIFY_IMAX:
-        return f"verify takes --imax <= {_MAX_VERIFY_IMAX}"
+    params = inspect.signature(verify.SUITES[suite]).parameters
+    if "i_max" not in params:
+        return None
+    ns = (options["n"],) if "n" in options else params["ns"].default
+    i_max = options.get("imax", params["i_max"].default)
+    for n in ns:
+        cap = _verify_imax_cap(n)
+        if cap is None:
+            return f"suite {suite} takes --n <= {_VERIFY_IMAX_CAPS[-1][0]}"
+        if i_max > cap:
+            return f"suite {suite} takes --imax <= {cap} at --n {n}"
     if "wt_bound" in options:
-        params = inspect.signature(verify.SUITES[suite]).parameters
-        ns = (options["n"],) if "n" in options else params["ns"].default
-        i_max = options.get("imax", params["i_max"].default)
         # the check saturated_closure makes on the heaviest generator of step i_max - 1
         floor = max(m.wt for n in ns for m in chains.enumerate_N(i_max - 1, n).basis)
         if options["wt_bound"] < floor:

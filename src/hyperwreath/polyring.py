@@ -112,7 +112,7 @@ class Poly:
 
     @property
     def nvars(self) -> int:
-        return max((len(e) for e in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     @property
     def is_constant(self) -> bool:
@@ -206,19 +206,7 @@ class Poly:
             raise ValueError(f"need {nv} substitutions, got {len(subs)}")
         table = subs if isinstance(subs, PowerTable) else PowerTable(subs[:nv])
         out: Terms = {}
-        get = out.get
-        for e, c in self.terms.items():
-            prod: Optional[Terms] = None
-            for j, k in enumerate(e):
-                if k:
-                    pw = table.power(j, k)
-                    prod = pw if prod is None else _mul_terms(prod, pw)
-            for e2, c2 in (prod if prod is not None else {(): 1}).items():
-                s = get(e2, 0) + c * c2
-                if s:
-                    out[e2] = s if type(s) is int else _norm_coeff(s)
-                else:
-                    del out[e2]
+        _add_substituted(out, self.terms, table, 1)
         return Poly._of(out)
 
     def difference(self, j: int, h: Union["Poly", Coeff]) -> "Poly":
@@ -277,7 +265,8 @@ class Poly:
 class PowerTable:
     """Powers of substitution images, each computed on first use.
 
-    ``Poly.substitute`` takes a table wherever it takes a list of images.
+    ``Poly.substitute`` takes a table wherever it takes a list of images, and
+    ``_add_substituted`` substitutes through one into a given term dict.
     Handing one table to several substitutions, such as the layers of one
     group product, computes each power of each image once.
     """
@@ -292,7 +281,11 @@ class PowerTable:
     def append(self, image: Union[Poly, Coeff]) -> None:
         if not isinstance(image, Poly):
             image = Poly.constant(image)
-        self._powers.append([{(): 1}, image.terms])
+        self.append_terms(image.terms)
+
+    def append_terms(self, terms: Terms) -> None:
+        """Append an image given by terms that are trimmed, nonzero and normalized."""
+        self._powers.append([{(): 1}, terms])
 
     def __len__(self) -> int:
         return len(self._powers)
@@ -303,6 +296,30 @@ class PowerTable:
         while len(powers) <= e:
             powers.append(_mul_terms(powers[-1], powers[1]))
         return powers[e]
+
+
+def _add_substituted(out: Terms, terms: Terms, table: PowerTable, sign: int) -> None:
+    """Add ``sign`` times the polynomial ``terms``, with x_j replaced by image
+    ``j - 1`` of ``table``, into ``out`` in place.
+
+    ``terms`` must use no variable beyond the table's images; ``out`` stays
+    trimmed, nonzero and normalized.
+    """
+    get = out.get
+    one: Terms = {(): 1}
+    for e, c in terms.items():
+        c *= sign
+        prod: Optional[Terms] = None
+        for j, k in enumerate(e):
+            if k:
+                pw = table.power(j, k)
+                prod = pw if prod is None else _mul_terms(prod, pw)
+        for e2, c2 in (one if prod is None else prod).items():
+            s = get(e2, 0) + c * c2
+            if s:
+                out[e2] = s if type(s) is int else _norm_coeff(s)
+            else:
+                del out[e2]
 
 
 def monomial_text(mag: Coeff, e: Sequence[int]) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import chains, liering, regular, wreath
@@ -32,11 +33,17 @@ class PropertyResult:
 # -- random generators ---------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
+def _partition_options(wt: int, max_part: int) -> Tuple[Partition, ...]:
+    """The partitions of ``wt`` with parts at most ``max_part``, in enumeration order."""
+    return tuple(enumerate_partitions(wt, num_parts=None, max_part=max_part))
+
+
 def random_partition(rng: random.Random, max_part: int, max_wt: int) -> Partition:
     if max_part < 1 or max_wt < 1:
         return EMPTY
     wt = rng.randint(0, max_wt)
-    options = enumerate_partitions(wt, num_parts=None, max_part=max_part)
+    options = _partition_options(wt, max_part)
     if not options:
         return EMPTY
     return rng.choice(options)
@@ -81,6 +88,7 @@ def suite_group(seed: int, triples: int = 200, ns: Sequence[int] = (2, 3, 4, 5))
     inverse = PropertyResult("two-sided inverse")
     action = PropertyResult("act(g*h, x) == act(h, act(g, x))")
     for n in ns:
+        ident = wreath.GroupElement.identity(n)
         for idx in range(triples):
             g = random_group_element(rng, n)
             h = random_group_element(rng, n)
@@ -88,7 +96,6 @@ def suite_group(seed: int, triples: int = 200, ns: Sequence[int] = (2, 3, 4, 5))
             if (g * h) * k != g * (h * k):
                 assoc.fail(f"associativity broke at n={n} sample {idx}")
             gi = g.inverse()
-            ident = wreath.GroupElement.identity(n)
             if g * gi != ident or gi * g != ident:
                 inverse.fail(f"inverse broke at n={n} sample {idx}")
             gh = g * h

@@ -22,7 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ordinals import OrdinalCNF, tdeg_of_monomial
 from .partitions import Partition
-from .polyring import Poly, PowerTable, monomial_text, parse_poly, signed_sum
+from .polyring import (Poly, PowerTable, Terms, _add_substituted, _norm_coeff, monomial_text,
+                       parse_poly, signed_sum)
 
 
 class MonomialElement:
@@ -159,9 +160,17 @@ class GroupElement:
         """Image of the point ``x`` under this element."""
         if len(x) < self.n:
             raise ValueError(f"need {self.n} coordinates")
-        return tuple(
-            x[k] - self.layers[k].evaluate(x[:k]) for k in range(self.n)
-        )
+        # one pass over each layer's terms; layer k uses only x_1..x_{k-1}
+        out = []
+        for k, f in enumerate(self.layers):
+            total = 0
+            for e, c in f.terms.items():
+                for j, p in enumerate(e):
+                    if p:
+                        c *= x[j] ** p
+                total += c
+            out.append(x[k] - _norm_coeff(total))
+        return tuple(out)
 
     # -- group operations ----------------------------------------------------
 
@@ -174,19 +183,22 @@ class GroupElement:
         # x_i - f_{i-1}, the action of self on coordinates, with its powers
         shifted = PowerTable()
         out: List[Poly] = []
-        for k in range(self.n):
-            out.append(self.layers[k] + other.layers[k].substitute(shifted))
-            shifted.append(Poly.variable(k + 1) - self.layers[k])
+        for k, f in enumerate(self.layers):
+            terms = dict(f.terms)
+            _add_substituted(terms, other.layers[k].terms, shifted, 1)
+            out.append(Poly._of(terms))
+            shifted.append_terms(_shifted_variable(k, f.terms))
         return GroupElement._of(self.n, tuple(out))
 
     def inverse(self) -> "GroupElement":
         """Triangular back-substitution: recover original coordinates layer by layer."""
         original = PowerTable()  # x_i expressed in the moved coordinates
         out: List[Poly] = []
-        for k in range(self.n):
-            moved = self.layers[k].substitute(original)
-            out.append(-moved)
-            original.append(Poly.variable(k + 1) + moved)
+        for k, f in enumerate(self.layers):
+            layer: Terms = {}  # minus f in the moved coordinates
+            _add_substituted(layer, f.terms, original, -1)
+            out.append(Poly._of(layer))
+            original.append_terms(_shifted_variable(k, layer))
         return GroupElement._of(self.n, tuple(out))
 
     def __pow__(self, power: int) -> "GroupElement":
@@ -265,6 +277,16 @@ class GroupElement:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _shifted_variable(k: int, terms: Terms) -> Terms:
+    """Terms of x_{k+1} - f, for f in x_1..x_k given by ``terms``.
+
+    The variable's exponent is longer than any of f's, so it never collides.
+    """
+    out = {e: -c for e, c in terms.items()}
+    out[(0,) * k + (1,)] = 1
+    return out
 
 
 def comm(g: GroupElement, h: GroupElement) -> GroupElement:

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from hyperwreath import verify
-from hyperwreath.cli import (CalcError, _inverse_degrees, _product_degrees, eval_expression,
-                             main, suite_options)
+from hyperwreath.cli import (_MAX_CALC_TERMS, CalcError, _inverse_sizes, _product_sizes,
+                             _verify_config_error, _verify_imax_cap, eval_expression, main,
+                             suite_options)
 from hyperwreath.verify import random_group_element
 from hyperwreath.wreath import GroupElement, parse_element
 
@@ -138,9 +139,16 @@ def test_verify_unknown_suite(capsys):
         "verify --suite chain --imax 99999999999999999999",
         "verify --suite chain --n 3 --imax 1001",
         "verify --suite chain --n 2 --imax 41",
+        "verify --suite chain --n 4 --imax 40",
+        "verify --suite chain --n 64 --imax 1",
         "calc [x1^4]D2*[x2^4]D3*[x3^4]D4*[x4^4]D5*[x5^4]D6 --n 6",
         "calc inv([x2^200]D3*[x1^2]D2) --n 3",
         "calc comm([x2^200]D3,[x1^2]D2) --n 3",
+        "calc [x1^2]D2*[x2^2]D3*[x3^2]D4*[x4^2]D5*[x5^2]D6*[x6^2]D7*[x7^2]D8*[x8^2]D9 --n 10",
+        "calc [x1+1]D2*[x2^140]D3 --n 3",
+        "calc inv([x1+1]D2*[x2^139]D3) --n 3",
+        pytest.param("calc inv(" + "*".join(f"[x{k - 1}^256]D{k}" for k in range(64, 1, -1))
+                     + ") --n 64", id="calc inv of 63 layers of degree 256"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -187,15 +195,55 @@ def test_verify_takes_imax_up_to_its_cap(capsys):
     assert code == 0 and out.splitlines()[-1] == "all properties hold (42/42)"
 
 
+def test_verify_imax_cap_boundaries(capsys):
+    caps = {n: _verify_imax_cap(n) for n in range(2, 21)}
+    assert [caps[n] for n in (2, 3, 4, 5, 6, 7, 8, 10, 11, 14, 15, 16, 17, 18, 19, 20)] == [
+        40, 32, 20, 16, 13, 11, 9, 9, 7, 7, 6, 6, 2, 2, 1, 1]
+    for n, cap in caps.items():
+        assert _verify_config_error("chain", {"n": n, "imax": cap}) is None
+        code, out, err = run_cli(capsys, "verify", "--suite", "chain", "--n", str(n),
+                                 "--imax", str(cap + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: suite chain takes --imax <= {cap} at --n {n}\n"
+    # without --n the suite runs n = 3 and 4, so the smaller cap holds
+    assert _verify_config_error("chain", {"imax": 20}) is None
+    assert _verify_config_error("chain", {"imax": 21}) is not None
+    # the default --imax (6) is above the cap from n = 17 on
+    assert _verify_config_error("chain", {"n": 16}) is None
+    assert _verify_config_error("chain", {"n": 17}) is not None
+    code, _, err = run_cli(capsys, "verify", "--suite", "chain", "--n", "21", "--imax", "1")
+    assert code == 2 and err == "error: suite chain takes --n <= 20\n"
+
+
+def test_verify_chain_default_bound_covers_the_first_generators(capsys):
+    # from n = 8 on, step 1's generators are heavier than the default 2 * (1 + 2)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "chain", "--n", "8", "--imax", "2")
+    assert code == 0
+    assert out.splitlines()[:2] == ["PASS normalizer step n=8 i=1 (bound 7)",
+                                    "PASS normalizer step n=8 i=2 (bound 8)"]
+
+
 def test_calc_degree_bounds_hold_on_random_elements():
     rng = random.Random(4)
     for n in (2, 3, 4, 5):
         elements = [random_group_element(rng, n) for _ in range(8)]
         elements += [a * b for a, b in zip(elements, elements[1:])]
         for g, h in zip(elements, elements[1:]):
-            for bound, result in ((_product_degrees(g, h), g * h), (_inverse_degrees(g), g.inverse())):
-                assert all(max((sum(e) for e in f.terms), default=0) <= b
-                           for f, b in zip(result.layers, bound))
+            for bounds, result in ((_product_sizes(g, h), g * h), (_inverse_sizes(g), g.inverse())):
+                for f, bound in zip(result.layers, bounds):
+                    assert max((sum(e) for e in f.terms), default=0) <= bound.degree
+                    assert all(v <= d for e in f.terms for v, d in zip(e, bound.degrees))
+                    assert all(len(e) <= len(bound.degrees) for e in f.terms)
+                    assert len(f.terms) <= bound.terms
+
+
+def test_calc_term_bounds_are_tight_on_powers_of_binomials():
+    g, h = parse_element("[x1 + 1]D2", 3), parse_element("[x2^139]D3", 3)
+    assert [b.terms for b in _product_sizes(g, h)] == [0, 2, 9870]
+    assert len((g * h).layers[2].terms) == 9870
+    # x2^139 is the largest power of x2 - x1 - 1 within the cap
+    over = list(_product_sizes(g, parse_element("[x2^140]D3", 3)))[2]
+    assert over.terms > _MAX_CALC_TERMS >= 9870
 
 
 def test_calc_keeps_products_within_the_degree_cap(capsys):
@@ -203,6 +251,8 @@ def test_calc_keeps_products_within_the_degree_cap(capsys):
     assert code == 0 and out.startswith("[x1^256 - 256*x1^255 + ")
     code, out, _ = run_cli(capsys, "calc", "inv([x1^16]D2 * [x2^16]D3)", "--n", "3")
     assert code == 0
+    code, out, _ = run_cli(capsys, "calc", "[x1 + 1]D2 * [x2^139]D3", "--n", "3")
+    assert code == 0 and out.startswith("[-x1^139 + 139*x1^138*x2 - 9591*x1^137*x2^2 + ")
 
 
 def test_calc_product_and_inverse(capsys):

@@ -2,8 +2,9 @@
 
 The reference below is the straightforward kernel: term products built through
 the validating ``Poly`` constructor, substitution summed term by term with
-``Poly`` ``+``, and the group product and inverse assembled layer by layer
-without shared power tables.  The library's kernel must agree with it exactly.
+``Poly`` ``+``, the group product and inverse assembled layer by layer
+without shared power tables, and the action evaluating each layer with
+``Poly.evaluate``.  The library's kernel must agree with it exactly.
 """
 
 import random
@@ -82,6 +83,10 @@ def ref_inverse(g):
     return GroupElement(g.n, out)
 
 
+def ref_act(g, x):
+    return tuple(x[k] - g.layers[k].evaluate(x[:k]) for k in range(g.n))
+
+
 # -- random inputs ---------------------------------------------------------------------
 
 _RATIONALS = [Fraction(a, b) for a in range(-3, 4) if a for b in (1, 2, 3)]
@@ -132,6 +137,43 @@ def test_group_results_pass_the_validating_constructor(n):
         for result in (g * h, g.inverse(), g.scalar_mul(-3), (g * h).inverse() * g):
             # raises when a layer is not integral or uses x_k or above in layer k
             assert GroupElement(n, result.layers) == result
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_act_matches_the_reference_action(n):
+    rng = random.Random(17 + n)
+    elements = seeded_elements(n, 40, seed=3)
+    for g in elements * 3:
+        point = rand_point(rng, n + rng.randint(0, 1), rational=False)
+        got = g.act(point)
+        assert got == ref_act(g, point)
+        assert all(type(v) is int for v in got)
+        point = rand_point(rng, n, rational=True)
+        got = g.act(point)
+        assert got == ref_act(g, point)
+        assert [type(v) for v in got] == [type(v) for v in ref_act(g, point)]
+        with pytest.raises(ValueError):
+            g.act(point[:-1])
+
+
+def test_act_keeps_integral_values_int_at_rational_points():
+    half = Fraction(1, 2)
+    g = GroupElement(3, [Poly.constant(1), x1 * 2, x1 * x2 * 4])
+    got = g.act([half, 3, 5])
+    assert got == ref_act(g, [half, 3, 5]) == (Fraction(-1, 2), 2, -1)
+    assert [type(v) for v in got] == [Fraction, int, int]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_products_that_cancel_match_the_reference_kernel(n):
+    identity = GroupElement.identity(n)
+    for g in seeded_elements(n, 12, seed=4):
+        gi = g.inverse()
+        assert gi == ref_inverse(g)
+        assert g * gi == ref_group_mul(g, gi) == identity
+        assert gi * g == ref_group_mul(gi, g) == identity
+        assert gi.inverse() == ref_inverse(gi) == g
+        assert (g * g) * gi == ref_group_mul(ref_group_mul(g, g), gi) == g
 
 
 def test_scalar_mul_refuses_a_non_integer():

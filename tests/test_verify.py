@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hyperwreath import cli, verify, wreath
+from hyperwreath.partitions import enumerate_partitions
 
 # The benchmark's recorded outputs of verify --suite all, read here only.
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -16,11 +17,20 @@ def test_chain_suite_passes():
     assert results and all(r.passed for r in results)
 
 
-def test_run_suite_all_aggregates(capsys):
-    reference = json.loads(REFERENCES.read_text())["suites.seed0"]
-    code = cli.main(["verify", "--suite", "all", "--seed", "0"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_run_suite_all_aggregates(capsys, seed):
+    reference = json.loads(REFERENCES.read_text())[f"suites.seed{seed}"]
+    code = cli.main(["verify", "--suite", "all", "--seed", str(seed)])
     assert capsys.readouterr().out.splitlines() == reference["lines"]
     assert code == reference["exit"]
+
+
+def test_partition_options_are_the_enumeration_in_order():
+    for max_part in range(1, 7):
+        for wt in range(0, 9):
+            options = verify._partition_options(wt, max_part)
+            assert list(options) == enumerate_partitions(wt, num_parts=None, max_part=max_part)
+            assert verify._partition_options(wt, max_part) is options  # memoised
 
 
 def test_run_suite_all_rejects_options():
