@@ -53,14 +53,15 @@ _MAX_N = 64
 # tables grow with the step, and chain --n 8 at this cap takes seconds.
 _MAX_IMAX = 1000
 
-# Largest --imax of verify --suite chain by --n, as (largest n, cap) bands.
-# The suite checks one normalizer step per i, and a step's weight bound, its
-# closure and its candidates grow with i and n.  At its cap each single-n run
-# took at most about 4 s, interpreter start included, on a 2-vCPU VM under
-# Python 3.11.  Above the last band even the first step takes seconds, and
-# --n is refused.
-_VERIFY_IMAX_CAPS = ((2, 40), (3, 32), (4, 20), (5, 16), (6, 13), (7, 11), (10, 9),
-                     (14, 7), (16, 6), (18, 2), (20, 1))
+# Largest --imax and --wt-bound of verify --suite chain by --n, as (largest n,
+# imax cap, wt-bound cap) bands.  The suite checks one normalizer step per i,
+# and a step's closure and candidates grow with i, n and the weight bound; a
+# given --wt-bound holds for every step.  At both caps each single-n run took
+# at most about 4 s, interpreter start included, on a 2-vCPU VM under Python
+# 3.11.  Above the last band even the first step takes seconds, and --n is
+# refused.
+_VERIFY_CAPS = ((2, 40, 200), (3, 32, 72), (4, 20, 44), (5, 16, 36), (6, 13, 30), (7, 11, 26),
+                (10, 9, 22), (14, 7, 20), (16, 6, 18), (18, 2, 22), (20, 1, 24))
 
 
 class CalcError(ValueError):
@@ -323,10 +324,10 @@ def cmd_chain(args: argparse.Namespace) -> int:
     return 0 if report.all_match else 1
 
 
-def _verify_imax_cap(n: int) -> Optional[int]:
-    """The largest --imax verify --suite chain takes at ``n``, or None when it
-    does not take that --n."""
-    return next((cap for largest, cap in _VERIFY_IMAX_CAPS if n <= largest), None)
+def _verify_caps(n: int) -> Optional[Tuple[int, int]]:
+    """The largest --imax and --wt-bound verify --suite chain takes at ``n``,
+    or None when it does not take that --n."""
+    return next(((imax, wt) for largest, imax, wt in _VERIFY_CAPS if n <= largest), None)
 
 
 def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str]:
@@ -350,11 +351,13 @@ def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str
     ns = (options["n"],) if "n" in options else params["ns"].default
     i_max = options.get("imax", params["i_max"].default)
     for n in ns:
-        cap = _verify_imax_cap(n)
-        if cap is None:
-            return f"suite {suite} takes --n <= {_VERIFY_IMAX_CAPS[-1][0]}"
-        if i_max > cap:
-            return f"suite {suite} takes --imax <= {cap} at --n {n}"
+        caps = _verify_caps(n)
+        if caps is None:
+            return f"suite {suite} takes --n <= {_VERIFY_CAPS[-1][0]}"
+        if i_max > caps[0]:
+            return f"suite {suite} takes --imax <= {caps[0]} at --n {n}"
+        if options.get("wt_bound", 0) > caps[1]:
+            return f"suite {suite} takes --wt-bound <= {caps[1]} at --n {n}"
     if "wt_bound" in options:
         # the check saturated_closure makes on the heaviest generator of step i_max - 1
         floor = max(m.wt for n in ns for m in chains.enumerate_N(i_max - 1, n).basis)

@@ -8,21 +8,14 @@ import re
 from typing import Dict, List, Tuple
 
 from .ordinals import OrdinalCNF, tdeg_of_monomial
-from .partitions import Partition
+from .partitions import Frozen, Partition, check_layer
 from .polyring import monomial_text, signed_sum
 from .wreath import GroupElement, MonomialElement, parse_layer_poly
 
 LieKey = Tuple[Partition, int]  # (exponent partition, layer of the derivation)
 
 
-def _check_key(lam: Partition, k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"derivation layer {k} out of range for n={n}")
-    if lam.max_part > k - 1:
-        raise ValueError(f"partition with part {lam.max_part} invalid for d{k}")
-
-
-class LieElement:
+class LieElement(Frozen):
     """Finite integer combination of basis elements x^lam d_k."""
 
     __slots__ = ("n", "terms")
@@ -32,13 +25,10 @@ class LieElement:
         for (lam, k), c in (terms or {}).items():
             if c == 0:
                 continue
-            _check_key(lam, k, n)
+            check_layer(k, n, lam.max_part)
             data[(lam, k)] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieElement is immutable")
 
     @classmethod
     def zero(cls, n: int) -> "LieElement":
@@ -73,9 +63,6 @@ class LieElement:
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + (-other)
-
-    def scale(self, d: int) -> "LieElement":
-        return LieElement(self.n, {k: c * d for k, c in self.terms.items()})
 
     def tdeg(self) -> OrdinalCNF:
         best = OrdinalCNF()

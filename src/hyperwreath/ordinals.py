@@ -10,10 +10,10 @@ from __future__ import annotations
 import re
 from typing import Iterable, Tuple
 
-from .partitions import Partition
+from .partitions import Frozen, Partition, check_layer
 
 
-class OrdinalCNF:
+class OrdinalCNF(Frozen):
     """Cantor normal form: a tuple of (exponent, coefficient) pairs.
 
     Exponents are strictly descending and coefficients positive, so plain
@@ -30,9 +30,6 @@ class OrdinalCNF:
             raise ValueError("exponents must be strictly descending")
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrdinalCNF is immutable")
-
     @classmethod
     def from_int(cls, value: int) -> "OrdinalCNF":
         if value < 0:
@@ -40,8 +37,8 @@ class OrdinalCNF:
         return cls(((0, value),) if value else ())
 
     @classmethod
-    def omega_power(cls, exponent: int, coeff: int = 1) -> "OrdinalCNF":
-        return cls(((exponent, coeff),))
+    def omega_power(cls, exponent: int) -> "OrdinalCNF":
+        return cls(((exponent, 1),))
 
     @property
     def is_zero(self) -> bool:
@@ -102,13 +99,9 @@ def tdeg_of_monomial(lam: Partition, k: int, n: int) -> OrdinalCNF:
 
     The value is the descending sum omega^(n-1) + ... + omega^k (empty when
     ``k == n``) plus the partition's own graded value, which never uses
-    omega^(k-1).  Rejects partitions with parts >= k, which would not give a
-    well-formed layer-``k`` monomial.
+    omega^(k-1) because the layer rule keeps every part below ``k``.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"layer {k} out of range for n={n}")
-    if lam.max_part > k - 1:
-        raise ValueError(f"partition with max part {lam.max_part} is not valid in layer {k}")
+    check_layer(k, n, lam.max_part)
     terms = [(n - i, 1) for i in range(1, n - k + 1)]
     for j in range(len(lam.mults), 0, -1):
         c = lam.mults[j - 1]

@@ -4,6 +4,8 @@ A partition is stored by multiplicities: entry ``i-1`` of the tuple is the
 number of parts equal to ``i``.  This makes the weight ``sum(i * mult_i)``,
 the number of parts and the exponent vector of the associated power monomial
 all read off directly.
+It imports nothing from the package, so it also holds the rules every value
+class shares: the immutability base ``Frozen`` and the layer check ``check_layer``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,27 @@ from itertools import zip_longest
 from typing import Iterable, List, Optional, Tuple
 
 
-class Partition:
+class Frozen:
+    """Base of the immutable value classes: their slots are set once through
+    ``object.__setattr__``, and assignment and deletion then raise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # called with the name only
+
+
+def check_layer(k: int, n: int, top: int) -> None:
+    """The triangular rule of ``W_n``: layer ``k`` lies in ``1..n`` and uses only
+    variables (partition parts) below ``k``; ``top`` is the highest in use, or 0."""
+    if not 1 <= k <= n or top >= k:
+        raise ValueError(f"need 1 <= layer <= n and every variable index below the layer, "
+                         f"got layer {k}, n={n}, highest index {top}")
+
+
+class Partition(Frozen):
     """Multiplicity-vector partition; immutable and hashable."""
 
     __slots__ = ("mults",)
@@ -24,9 +46,6 @@ class Partition:
         if any(v < 0 for v in m):
             raise ValueError("partition multiplicities must be non-negative")
         object.__setattr__(self, "mults", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":

@@ -14,6 +14,8 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .partitions import Frozen, check_layer
+
 Coeff = Union[int, Fraction]
 Expo = Tuple[int, ...]
 Terms = Dict[Expo, Coeff]
@@ -55,7 +57,7 @@ def _mul_terms(a: Terms, b: Terms) -> Terms:
     return out
 
 
-class Poly:
+class Poly(Frozen):
     """Immutable sparse polynomial in variables x1, x2, ..."""
 
     __slots__ = ("terms",)
@@ -72,9 +74,6 @@ class Poly:
             else:
                 data[e] = _norm_coeff(c)
         object.__setattr__(self, "terms", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -155,9 +154,6 @@ class Poly:
             other = Poly.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other: Coeff) -> "Poly":
-        return Poly.constant(other) - self
-
     def __mul__(self, other: Union["Poly", Coeff]) -> "Poly":
         if not isinstance(other, Poly):
             if other == 0:
@@ -196,15 +192,13 @@ class Poly:
         return Poly._of(data)
 
     def substitute(self, subs: Sequence[Union["Poly", Coeff]]) -> "Poly":
-        """Exact composition: replace x_j by subs[j-1] for every variable of self.
-
-        ``subs`` may be a ``PowerTable``, whose powers then serve every
-        polynomial substituted through it.
-        """
+        """Exact composition: replace x_j by subs[j-1] for every variable of self."""
         nv = self.nvars
         if len(subs) < nv:
             raise ValueError(f"need {nv} substitutions, got {len(subs)}")
-        table = subs if isinstance(subs, PowerTable) else PowerTable(subs[:nv])
+        table = PowerTable()
+        for image in subs[:nv]:
+            table.append((image if isinstance(image, Poly) else Poly.constant(image)).terms)
         out: Terms = {}
         _add_substituted(out, self.terms, table, 1)
         return Poly._of(out)
@@ -212,17 +206,10 @@ class Poly:
     def difference(self, j: int, h: Union["Poly", Coeff]) -> "Poly":
         """Finite difference along x_j with increment ``h``: p(x + h e_j) - p(x).
 
-        The increment must live strictly below layer ``j``: it may use only
-        x_1..x_{j-1}.  Anything else breaks the triangular layering and is
-        rejected.
+        As in layer ``j``, the increment may use only x_1..x_{j-1}.
         """
-        if j < 1:
-            raise ValueError("variable index must be >= 1")
         hp = h if isinstance(h, Poly) else Poly.constant(h)
-        if hp.nvars >= j:
-            raise ValueError(
-                f"increment for variable x{j} may only use x1..x{j - 1}"
-            )
+        check_layer(j, j, hp.nvars)
         images = [Poly.variable(i) for i in range(1, max(self.nvars, j) + 1)]
         images[j - 1] = images[j - 1] + hp
         return self.substitute(images) - self
@@ -265,30 +252,19 @@ class Poly:
 class PowerTable:
     """Powers of substitution images, each computed on first use.
 
-    ``Poly.substitute`` takes a table wherever it takes a list of images, and
-    ``_add_substituted`` substitutes through one into a given term dict.
+    ``_add_substituted`` substitutes through a table into a given term dict.
     Handing one table to several substitutions, such as the layers of one
     group product, computes each power of each image once.
     """
 
     __slots__ = ("_powers",)
 
-    def __init__(self, images: Iterable[Union[Poly, Coeff]] = ()):
+    def __init__(self):
         self._powers: List[List[Terms]] = []
-        for image in images:
-            self.append(image)
 
-    def append(self, image: Union[Poly, Coeff]) -> None:
-        if not isinstance(image, Poly):
-            image = Poly.constant(image)
-        self.append_terms(image.terms)
-
-    def append_terms(self, terms: Terms) -> None:
+    def append(self, terms: Terms) -> None:
         """Append an image given by terms that are trimmed, nonzero and normalized."""
         self._powers.append([{(): 1}, terms])
-
-    def __len__(self) -> int:
-        return len(self._powers)
 
     def power(self, j: int, e: int) -> Terms:
         """Terms of image ``j`` (from 0) to the power ``e``; callers must not mutate them."""

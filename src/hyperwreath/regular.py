@@ -12,11 +12,11 @@ import itertools
 from typing import List, Optional, Tuple
 
 from .chains import enumerate_N
-from .partitions import Partition
+from .partitions import Frozen, Partition
 from .wreath import GroupElement, comm, conjugate
 
 
-class RegularFamily:
+class RegularFamily(Frozen):
     """Generators of the twisted translation family with parameter c."""
 
     __slots__ = ("n", "c", "generators")
@@ -25,9 +25,6 @@ class RegularFamily:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "generators", tuple(generators))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RegularFamily is immutable")
 
     def __eq__(self, other) -> bool:
         return (

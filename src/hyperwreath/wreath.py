@@ -21,12 +21,12 @@ from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
 from .ordinals import OrdinalCNF, tdeg_of_monomial
-from .partitions import Partition
+from .partitions import Frozen, Partition, check_layer
 from .polyring import (Poly, PowerTable, Terms, _add_substituted, _norm_coeff, monomial_text,
                        parse_poly, signed_sum)
 
 
-class MonomialElement:
+class MonomialElement(Frozen):
     """A single-term base-layer element ``coeff * x^lam Delta_layer``."""
 
     __slots__ = ("coeff", "lam", "layer", "n")
@@ -36,19 +36,11 @@ class MonomialElement:
             raise ValueError("monomial elements have nonzero coefficient")
         if not isinstance(coeff, int):
             raise ValueError("monomial coefficients are integers")
-        if not 1 <= layer <= n:
-            raise ValueError(f"layer {layer} out of range for n={n}")
-        if lam.max_part > layer - 1:
-            raise ValueError(
-                f"partition with part {lam.max_part} cannot sit in layer {layer}"
-            )
+        check_layer(layer, n, lam.max_part)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "layer", layer)
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialElement is immutable")
 
     @property
     def wt(self) -> int:
@@ -96,7 +88,7 @@ class MonomialElement:
         return f"MonomialElement({self.render()!r}, n={self.n})"
 
 
-class GroupElement:
+class GroupElement(Frozen):
     """An element of the wreath product, stored as its layer tuple."""
 
     __slots__ = ("n", "layers")
@@ -110,15 +102,9 @@ class GroupElement:
         for k, f in enumerate(layers, start=1):
             if not f.is_integral:
                 raise ValueError(f"layer {k} is not integral: {f}")
-            if f.nvars > k - 1:
-                raise ValueError(
-                    f"layer {k} may only use x1..x{k - 1}, got {f.nvars} variables"
-                )
+            check_layer(k, n, f.nvars)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "layers", layers)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -137,6 +123,7 @@ class GroupElement:
 
     @classmethod
     def from_layer_poly(cls, f: Poly, k: int, n: int) -> "GroupElement":
+        check_layer(k, n, f.nvars)
         layers = [Poly.zero()] * n
         layers[k - 1] = f
         return cls(n, layers)
@@ -187,7 +174,7 @@ class GroupElement:
             terms = dict(f.terms)
             _add_substituted(terms, other.layers[k].terms, shifted, 1)
             out.append(Poly._of(terms))
-            shifted.append_terms(_shifted_variable(k, f.terms))
+            shifted.append(_shifted_variable(k, f.terms))
         return GroupElement._of(self.n, tuple(out))
 
     def inverse(self) -> "GroupElement":
@@ -198,7 +185,7 @@ class GroupElement:
             layer: Terms = {}  # minus f in the moved coordinates
             _add_substituted(layer, f.terms, original, -1)
             out.append(Poly._of(layer))
-            original.append_terms(_shifted_variable(k, layer))
+            original.append(_shifted_variable(k, layer))
         return GroupElement._of(self.n, tuple(out))
 
     def __pow__(self, power: int) -> "GroupElement":
@@ -361,11 +348,7 @@ def parse_layer_poly(text: str, k: int, n: int) -> Poly:
     The layer and the variable indices are checked before ``parse_poly``
     builds an exponent tuple as long as the largest index.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"layer {k} out of range for n={n}")
-    for j in re.findall(r"x(\d+)", text):
-        if int(j) >= k:
-            raise ValueError(f"layer {k} takes variables below x{k}, got x{j}")
+    check_layer(k, n, max(map(int, re.findall(r"x(\d+)", text)), default=0))
     return parse_poly(text)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from hyperwreath import verify
 from hyperwreath.cli import (_MAX_CALC_TERMS, CalcError, _inverse_sizes, _product_sizes,
-                             _verify_config_error, _verify_imax_cap, eval_expression, main,
+                             _verify_caps, _verify_config_error, eval_expression, main,
                              suite_options)
 from hyperwreath.verify import random_group_element
 from hyperwreath.wreath import GroupElement, parse_element
@@ -196,7 +196,7 @@ def test_verify_takes_imax_up_to_its_cap(capsys):
 
 
 def test_verify_imax_cap_boundaries(capsys):
-    caps = {n: _verify_imax_cap(n) for n in range(2, 21)}
+    caps = {n: _verify_caps(n)[0] for n in range(2, 21)}
     assert [caps[n] for n in (2, 3, 4, 5, 6, 7, 8, 10, 11, 14, 15, 16, 17, 18, 19, 20)] == [
         40, 32, 20, 16, 13, 11, 9, 9, 7, 7, 6, 6, 2, 2, 1, 1]
     for n, cap in caps.items():
@@ -213,6 +213,27 @@ def test_verify_imax_cap_boundaries(capsys):
     assert _verify_config_error("chain", {"n": 17}) is not None
     code, _, err = run_cli(capsys, "verify", "--suite", "chain", "--n", "21", "--imax", "1")
     assert code == 2 and err == "error: suite chain takes --n <= 20\n"
+
+
+def test_verify_wt_bound_cap_boundaries(capsys):
+    for n in range(2, 21):
+        imax, cap = _verify_caps(n)
+        assert _verify_config_error("chain", {"n": n, "imax": imax, "wt_bound": cap}) is None
+        code, out, err = run_cli(capsys, "verify", "--suite", "chain", "--n", str(n),
+                                 "--imax", "1", "--wt-bound", str(cap + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: suite chain takes --wt-bound <= {cap} at --n {n}\n"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "chain", "--n", "2", "--imax", "1",
+                           "--wt-bound", "200")
+    assert code == 0 and out.splitlines()[0] == "PASS normalizer step n=2 i=1 (bound 200)"
+    # these took 11 s and 7 s before the cap
+    for n, bound in ((4, 60), (3, 100)):
+        code, _, err = run_cli(capsys, "verify", "--suite", "chain", "--n", str(n), "--imax", "10",
+                               "--wt-bound", str(bound))
+        assert code == 2 and err.count("error:") == 1
+    # without --n the suite runs n = 3 and 4, so the smaller cap holds
+    assert _verify_config_error("chain", {"imax": 20, "wt_bound": 44}) is None
+    assert _verify_config_error("chain", {"wt_bound": 45}) is not None
 
 
 def test_verify_chain_default_bound_covers_the_first_generators(capsys):

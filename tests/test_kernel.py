@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperwreath.polyring import Poly, PowerTable
+from hyperwreath.polyring import Poly, PowerTable, _add_substituted
 from hyperwreath.verify import random_group_element
 from hyperwreath.wreath import GroupElement
 
@@ -196,14 +196,21 @@ def test_substitute_matches_the_reference_kernel(rational):
 
 
 def test_one_power_table_serves_several_substitutions():
+    # as in the group product: the table gains one image per layer, and each
+    # layer is substituted through the images so far into an existing sum
     rng = random.Random(5)
     for _ in range(20):
         subs = [rand_poly(rng, 3, rational=True, terms=3, max_deg=2) for _ in range(3)]
         table = PowerTable()
         for k, image in enumerate(subs):
             p = rand_poly(rng, k, rational=True)
-            assert p.substitute(table) == ref_substitute(p, subs[:k])
-            table.append(image)
+            q = rand_poly(rng, 3, rational=True)
+            sign = rng.choice((1, -1))
+            out = dict(q.terms)
+            _add_substituted(out, p.terms, table, sign)
+            assert Poly._of(out) == q + ref_substitute(p, subs[:k]) * sign
+            assert_normalized(Poly._of(out))
+            table.append(image.terms)
 
 
 def test_fraction_sums_return_to_int():
