@@ -339,7 +339,7 @@ def constituent_keys(a: LieKey, b: LieKey) -> List[LieKey]:
         (lam, k), (theta, u) = b, a
     out: List[LieKey] = []
     for _ in range(lam.multiplicity(u)):
-        lam = lam.remove_part(u).combine(theta)
+        lam = lam.replace_part(u, theta)
         out.append((lam, k))
     return out
 

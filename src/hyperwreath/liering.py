@@ -118,11 +118,11 @@ def bracket_keys(a: LieKey, b: LieKey) -> Tuple[int, LieKey]:
         mult = lam.multiplicity(j)
         if mult == 0:
             return 0, a
-        return mult, (lam.remove_part(j).combine(theta), k)
+        return mult, (lam.replace_part(j, theta), k)
     mult = theta.multiplicity(k)
     if mult == 0:
         return 0, a
-    return -mult, (theta.remove_part(k).combine(lam), j)
+    return -mult, (theta.replace_part(k, lam), j)
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:

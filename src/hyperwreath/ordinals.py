@@ -36,10 +36,6 @@ class OrdinalCNF(Frozen):
             raise ValueError("ordinals are non-negative")
         return cls(((0, value),) if value else ())
 
-    @classmethod
-    def omega_power(cls, exponent: int) -> "OrdinalCNF":
-        return cls(((exponent, 1),))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

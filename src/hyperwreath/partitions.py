@@ -10,7 +10,7 @@ class shares: the immutability base ``Frozen`` and the layer check ``check_layer
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from operator import add
 from typing import Iterable, List, Optional, Tuple
 
 
@@ -40,12 +40,19 @@ class Partition(Frozen):
     __slots__ = ("mults",)
 
     def __init__(self, mults: Iterable[int] = ()):
-        m = tuple(int(v) for v in mults)
+        m = tuple(mults)
+        if not all(isinstance(v, int) and v >= 0 for v in m):
+            raise ValueError(f"partition multiplicities must be non-negative integers, got {list(m)}")
         while m and m[-1] == 0:
             m = m[:-1]
-        if any(v < 0 for v in m):
-            raise ValueError("partition multiplicities must be non-negative")
         object.__setattr__(self, "mults", m)
+
+    @classmethod
+    def _of(cls, mults: Tuple[int, ...]) -> "Partition":
+        """Wrap a tuple of non-negative ints that has no trailing zero."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "mults", mults)
+        return out
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
@@ -93,17 +100,24 @@ class Partition(Frozen):
 
     def combine(self, other: "Partition") -> "Partition":
         """Multiset union: adds multiplicities (product of power monomials)."""
-        return Partition(
-            a + b for a, b in zip_longest(self.mults, other.mults, fillvalue=0)
-        )
+        a, b = self.mults, other.mults
+        if len(a) < len(b):
+            a, b = b, a
+        return Partition._of(tuple(map(add, a, b)) + a[len(b):])  # ends as ``a`` does, nonzero
 
-    def remove_part(self, i: int) -> "Partition":
-        """Remove one part equal to ``i``; the part must be present."""
-        if self.multiplicity(i) < 1:
+    def replace_part(self, i: int, other: "Partition") -> "Partition":
+        """Swap one part equal to ``i`` for the parts of ``other``; the part must
+        be present.  Removing the part and then combining, in one pass."""
+        m = self.mults
+        if not 0 < i <= len(m) or not m[i - 1]:
             raise ValueError(f"no part equal to {i} to remove")
-        m = list(self.mults)
-        m[i - 1] -= 1
-        return Partition(m)
+        a, b = (m, other.mults) if len(m) >= len(other.mults) else (other.mults, m)
+        out = list(map(add, a, b))
+        out += a[len(b):]
+        out[i - 1] -= 1
+        while out and not out[-1]:  # only when the top part of ``self`` went
+            out.pop()
+        return Partition._of(tuple(out))
 
     # -- dunder plumbing ---------------------------------------------------
 
@@ -155,7 +169,10 @@ def enumerate_partitions(
         if part == 1:
             # the rest is all 1's; with deg_left set the invariant gives deg_left == wt_left
             acc.append(wt_left)
-            results.append(Partition(reversed(acc)))
+            mults = acc[::-1]
+            while not mults[-1]:  # the top multiplicity may be 0; wt > 0 keeps a part
+                mults.pop()
+            results.append(Partition._of(tuple(mults)))
             acc.pop()
             return
         if deg_left is None:

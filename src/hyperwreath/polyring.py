@@ -114,10 +114,6 @@ class Poly(Frozen):
         return max(map(len, self.terms), default=0)
 
     @property
-    def is_constant(self) -> bool:
-        return all(not e for e in self.terms)
-
-    @property
     def constant_term(self) -> Coeff:
         return self.terms.get((), 0)
 
@@ -125,10 +121,6 @@ class Poly(Frozen):
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return all(isinstance(c, int) for c in self.terms.values())
-
-    def deg_in(self, j: int) -> int:
-        """Degree in the variable x_j."""
-        return max((e[j - 1] if len(e) >= j else 0 for e in self.terms), default=0)
 
     # -- ring operations ----------------------------------------------------
 

@@ -201,12 +201,6 @@ class GroupElement(Frozen):
                 base = base * base
         return result
 
-    def scalar_mul(self, d: int) -> "GroupElement":
-        """Module action of the coefficient ring: multiply every layer by d."""
-        if not isinstance(d, int):
-            raise ValueError(f"scalar must be an integer, got {d!r}")
-        return GroupElement._of(self.n, tuple(f * d for f in self.layers))
-
     # -- monomial decomposition and grading ----------------------------------
 
     def decompose(self) -> List[MonomialElement]:
@@ -218,7 +212,7 @@ class GroupElement(Frozen):
         out: List[MonomialElement] = []
         for k in range(1, self.n + 1):
             for e, c in self.layers[k - 1].terms.items():
-                out.append(MonomialElement(c, Partition(e), k, self.n))
+                out.append(MonomialElement(c, Partition._of(e), k, self.n))
         out.sort(key=lambda m: m.tdeg(), reverse=True)
         return out
 
@@ -227,7 +221,7 @@ class GroupElement(Frozen):
         best: Optional[OrdinalCNF] = None
         for k in range(1, self.n + 1):
             for e in self.layers[k - 1].terms:
-                t = tdeg_of_monomial(Partition(e), k, self.n)
+                t = tdeg_of_monomial(Partition._of(e), k, self.n)
                 if best is None or t > best:
                     best = t
         return best if best is not None else OrdinalCNF()
@@ -336,7 +330,7 @@ def leading_of_monomial_comm(
     mult = lam.multiplicity(u)
     if mult == 0:
         return None
-    return MonomialElement(mult, lam.remove_part(u).combine(theta), k, n)
+    return MonomialElement(mult, lam.replace_part(u, theta), k, n)
 
 
 _FACTOR_RE = re.compile(r"\s*\[([^\]]*)\]D(\d+)\s*")

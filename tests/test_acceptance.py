@@ -229,7 +229,7 @@ def test_criterion_6_central_series():
             # scalar multiples of the top-layer unit stay central
             for scalar in (-3, -1, 2):
                 assert center_membership(
-                    GroupElement.delta(n, n).scalar_mul(scalar), ONE
+                    GroupElement.from_layer_poly(Poly.constant(scalar), n, n), ONE
                 )
 
 

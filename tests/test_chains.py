@@ -1,7 +1,9 @@
 """Level functions, generator enumeration, closures, normalizer checks, growth."""
 
+import hashlib
 import json
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -327,7 +329,7 @@ def test_center_membership_examples():
     assert not center_membership(x1dn, ONE)
     assert center_membership(x1dn, OrdinalCNF.from_int(2))
     dprev = GroupElement.delta(n - 1, n)
-    omega_pow = OrdinalCNF.omega_power(n - 1)
+    omega_pow = OrdinalCNF(((n - 1, 1),))
     assert not center_membership(dprev, omega_pow)
     assert center_membership(dprev, omega_pow.successor())
 
@@ -352,6 +354,17 @@ def test_chain_step_small():
     assert step.members_checked == len(enumerate_N(1, 3).basis)
     assert step.group_passes == step.lie_passes == step.members_checked
     assert step.closure_discards == 0
+
+
+def test_chain_steps_are_pinned():
+    # SHA-256 of the repr of every ChainStepCheck field for n = 2..7, i = 1..6,
+    # recorded before partitions were built through Partition._of and replace_part
+    rows = "\n".join(
+        repr(astuple(check_chain_step(n, i))) for n in range(2, 8) for i in range(1, 7)
+    )
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "bb713d79f79d11bb0f85173088525e5faa50565d9fc78d6c85b02dab764ab91c"
+    )
 
 
 def test_comm_constituents_match_group_commutator():

