@@ -58,8 +58,8 @@ class Partition(Frozen):
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
         """Build from an explicit list of parts, e.g. [1, 1, 2]."""
         parts = list(parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("parts must be positive")
+        if not all(isinstance(p, int) and p >= 1 for p in parts):
+            raise ValueError(f"partition parts must be positive integers, got {parts}")
         mults = [0] * (max(parts) if parts else 0)
         for p in parts:
             mults[p - 1] += 1

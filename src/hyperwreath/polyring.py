@@ -29,8 +29,18 @@ def _norm_coeff(c: Coeff) -> Coeff:
     return c
 
 
+def _check_coeff(c: Coeff) -> Coeff:
+    """The one check of a coefficient from outside: an int or a Fraction, normalized."""
+    if not isinstance(c, (int, Fraction)):
+        raise ValueError(f"polynomial coefficients must be int or Fraction, got {c!r}")
+    return _norm_coeff(c)
+
+
 def _trim(e: Sequence[int]) -> Expo:
-    e = tuple(int(v) for v in e)
+    """The one check of an exponent tuple: non-negative ints, trailing zeros dropped."""
+    e = tuple(e)
+    if not all(isinstance(v, int) and v >= 0 for v in e):
+        raise ValueError(f"exponents must be non-negative integers, got {list(e)}")
     while e and e[-1] == 0:
         e = e[:-1]
     return e
@@ -66,9 +76,7 @@ class Poly(Frozen):
         data: Dict[Expo, Coeff] = {}
         for e, c in (terms or {}).items():
             e = _trim(e)
-            if any(v < 0 for v in e):
-                raise ValueError("exponents must be non-negative")
-            c = data.get(e, 0) + c
+            c = data.get(e, 0) + _check_coeff(c)
             if c == 0:
                 data.pop(e, None)
             else:
@@ -90,7 +98,8 @@ class Poly(Frozen):
 
     @classmethod
     def constant(cls, c: Coeff) -> "Poly":
-        return cls._of({(): _norm_coeff(c)} if c else {})
+        c = _check_coeff(c)
+        return cls._of({(): c} if c else {})
 
     @classmethod
     def variable(cls, j: int) -> "Poly":
@@ -101,7 +110,7 @@ class Poly(Frozen):
 
     @classmethod
     def monomial(cls, coeff: Coeff, exponents: Sequence[int]) -> "Poly":
-        return cls({_trim(exponents): coeff} if coeff else None)
+        return cls({tuple(exponents): coeff})
 
     # -- inspection ---------------------------------------------------------
 
@@ -148,6 +157,7 @@ class Poly(Frozen):
 
     def __mul__(self, other: Union["Poly", Coeff]) -> "Poly":
         if not isinstance(other, Poly):
+            other = _check_coeff(other)
             if other == 0:
                 return Poly.zero()
             return Poly._of({e: _norm_coeff(c * other) for e, c in self.terms.items()})

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import chains, liering, regular, wreath
 from .ordinals import OrdinalCNF
 from .partitions import EMPTY, Partition, enumerate_partitions
-from .polyring import Poly
+from .polyring import Poly, Terms
 
 
 @dataclass
@@ -64,15 +64,26 @@ def random_monomial(
 
 
 def random_group_element(rng: random.Random, n: int) -> wreath.GroupElement:
-    """Up to three terms of weight at most 4 in each layer."""
+    """Up to three terms of weight at most 4 in each layer.
+
+    Each layer is summed as a term dict: a partition with parts below ``k`` is
+    a valid layer-``k`` exponent and the coefficients are ints, so the result
+    is valid by construction.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     layers: List[Poly] = []
     for k in range(1, n + 1):
-        acc = Poly.zero()
+        terms: Terms = {}
         for _ in range(rng.randint(0, 3)):
-            lam = random_partition(rng, k - 1, 4)
-            acc = acc + Poly.monomial(rng.choice(_COEFFS), lam.mults)
-        layers.append(acc)
-    return wreath.GroupElement(n, layers)
+            e = random_partition(rng, k - 1, 4).mults
+            c = terms.get(e, 0) + rng.choice(_COEFFS)
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        layers.append(Poly._of(terms))
+    return wreath.GroupElement._of(n, tuple(layers))
 
 
 # -- suites -------------------------------------------------------------------
@@ -90,12 +101,12 @@ def suite_group(seed: int, triples: int = 200, ns: Sequence[int] = (2, 3, 4, 5))
             g = random_group_element(rng, n)
             h = random_group_element(rng, n)
             k = random_group_element(rng, n)
-            if (g * h) * k != g * (h * k):
+            gh = g * h
+            if gh * k != g * (h * k):
                 assoc.fail(f"associativity broke at n={n} sample {idx}")
             gi = g.inverse()
             if g * gi != ident or gi * g != ident:
                 inverse.fail(f"inverse broke at n={n} sample {idx}")
-            gh = g * h
             for _ in range(20):
                 x = tuple(rng.randint(-6, 6) for _ in range(n))
                 if gh.act(x) != h.act(g.act(x)):
@@ -209,13 +220,15 @@ def suite_centers(seed: int, ns: Sequence[int] = (3, 4)) -> List[PropertyResult]
         for b in chains.candidate_monomials(n, 4):
             bg = b.to_group()
             alpha = b.tdeg()
+            above = alpha.successor()
             if chains.center_membership(bg, one) != (b.lam.is_empty and b.layer == n):
                 center.fail(f"center classification broke at {b.render()}, n={n}")
             for _ in range(50):
                 c = wreath.comm(bg, random_group_element(rng, n))
-                if not c.tdeg() < alpha.successor():
+                t = c.tdeg()
+                if not t < above:
                     drop.fail(f"degree did not drop for {b.render()} at n={n}")
-                if not c.is_identity and not c.tdeg() < alpha:
+                if not c.is_identity and not t < alpha:
                     drop.fail(f"strict drop failed for {b.render()} at n={n}")
     return [drop, center]
 

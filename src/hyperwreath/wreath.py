@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
-from .ordinals import OrdinalCNF, tdeg_of_monomial
+from .ordinals import ZERO, OrdinalCNF, tdeg_of_monomial
 from .partitions import Frozen, Partition, check_layer
 from .polyring import (Poly, PowerTable, Terms, _add_substituted, _norm_coeff, monomial_text,
                        parse_poly, signed_sum)
@@ -119,7 +119,9 @@ class GroupElement(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "GroupElement":
-        return cls(n, [Poly.zero()] * n)
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return cls._of(n, (Poly.zero(),) * n)
 
     @classmethod
     def from_layer_poly(cls, f: Poly, k: int, n: int) -> "GroupElement":
@@ -191,15 +193,15 @@ class GroupElement(Frozen):
     def __pow__(self, power: int) -> "GroupElement":
         if power < 0:
             return self.inverse() ** (-power)
-        result = GroupElement.identity(self.n)
+        result: Optional[GroupElement] = None  # the identity, until the first factor
         base = self
         while power:
             if power & 1:
-                result = result * base
+                result = base if result is None else result * base
             power >>= 1
             if power:
                 base = base * base
-        return result
+        return GroupElement.identity(self.n) if result is None else result
 
     # -- monomial decomposition and grading ----------------------------------
 
@@ -217,14 +219,18 @@ class GroupElement(Frozen):
         return out
 
     def tdeg(self) -> OrdinalCNF:
-        """Transfinite degree: zero for the identity, else the leading constituent's."""
-        best: Optional[OrdinalCNF] = None
-        for k in range(1, self.n + 1):
-            for e in self.layers[k - 1].terms:
-                t = tdeg_of_monomial(Partition._of(e), k, self.n)
-                if best is None or t > best:
-                    best = t
-        return best if best is not None else OrdinalCNF()
+        """Transfinite degree: zero for the identity, else the leading constituent's.
+
+        A layer-k constituent carries omega^k (when k < n), which no constituent
+        of a higher layer reaches, so the lowest nonzero layer holds the leading
+        one.  Within a layer the degrees order as the exponent tuples do, read
+        from the highest variable down: by length, then by reversed entries.
+        """
+        for k, f in enumerate(self.layers, start=1):
+            if f.terms:
+                top = max(f.terms, key=lambda e: (len(e), e[::-1]))
+                return tdeg_of_monomial(Partition._of(top), k, self.n)
+        return ZERO
 
     def leading_term(self) -> MonomialElement:
         """The unique constituent of maximal transfinite degree."""

@@ -259,6 +259,12 @@ def test_multiplicities_must_be_non_negative_integers(bad):
         Partition(bad)
 
 
+@pytest.mark.parametrize("bad", [[1.5], [2.0], ["2"], [Fraction(1)], [1, Fraction(1, 2)], [0], [1, -1]])
+def test_from_parts_refuses_non_positive_or_non_integer_parts(bad):
+    with pytest.raises(ValueError, match="partition parts must be positive integers"):
+        Partition.from_parts(bad)
+
+
 SMALL = [p for wt in range(7) for p in enumerate_partitions(wt)]
 
 

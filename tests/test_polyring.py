@@ -159,6 +159,38 @@ def test_fraction_scratch_normalizes_back_to_int():
     assert isinstance(p.constant_term, int)
 
 
+@pytest.mark.parametrize("bad", [(1.5,), (2.0,), ("2",), (Fraction(2),), (1, -1)])
+def test_exponents_must_be_non_negative_ints(bad):
+    with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+        Poly({bad: 1})
+    for coeff in (1, 0):  # a zero coefficient does not skip the check
+        with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+            Poly.monomial(coeff, bad)
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, 0.0, "3", None, complex(1, 0)])
+def test_coefficients_must_be_int_or_fraction(bad):
+    checks = [
+        lambda: Poly({(1,): bad}),
+        lambda: Poly.monomial(bad, (1,)),
+        lambda: Poly.constant(bad),
+        lambda: x1 * bad,
+        lambda: bad * x1,
+        lambda: x1 + bad,
+        lambda: bad + x1,
+        lambda: x1 - bad,
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="coefficients must be int or Fraction"):
+            check()
+
+
+def test_int_and_fraction_coefficients_stay_exact():
+    assert (Poly.constant(Fraction(1, 10)) * 3).terms == {(): Fraction(3, 10)}
+    assert Poly.monomial(Fraction(4, 2), (0, 1)).terms == {(0, 1): 2}
+    assert (x1 + Fraction(1, 2) + Fraction(1, 2)).terms == {(1,): 1, (): 1}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
 def test_ring_laws_on_constants_and_vars(a, b, c):

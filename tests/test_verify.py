@@ -9,6 +9,7 @@ import pytest
 
 from hyperwreath import cli, verify, wreath
 from hyperwreath.partitions import enumerate_partitions
+from hyperwreath.polyring import Poly
 
 # The benchmark's recorded outputs of verify --suite all, read here only.
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -55,6 +56,52 @@ def test_sampled_streams_are_pinned(seed):
             lines.append(verify.random_group_element(rng, n).render())
             lines.append(verify.random_monomial(rng, n).render())
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == STREAM_DIGESTS[seed]
+
+
+def reference_random_group_element(rng, n):
+    """Reference for ``verify.random_group_element``: the same draws, summed
+    through the validating ``Poly`` and ``GroupElement`` constructors."""
+    layers = []
+    for k in range(1, n + 1):
+        acc = Poly.zero()
+        for _ in range(rng.randint(0, 3)):
+            lam = verify.random_partition(rng, k - 1, 4)
+            acc = acc + Poly.monomial(rng.choice(verify._COEFFS), lam.mults)
+        layers.append(acc)
+    return wreath.GroupElement(n, layers)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_group_element_matches_the_validating_reference(seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    for n in range(1, 7):
+        for _ in range(60):
+            g = verify.random_group_element(fast, n)
+            assert g == reference_random_group_element(slow, n)
+            assert fast.getstate() == slow.getstate()
+            assert g == wreath.GroupElement(n, g.layers)
+    with pytest.raises(ValueError):
+        verify.random_group_element(fast, 0)
+
+
+class ScriptedRng:
+    """Answers ``randint`` and ``choice`` from a fixed list, in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, lo, hi):
+        return next(self.values)
+
+    def choice(self, options):
+        return next(self.values)
+
+
+def test_random_group_element_drops_a_cancelled_term():
+    # n = 1 draws only constants (no partition draw): three terms 2, -2 and 5
+    g = verify.random_group_element(ScriptedRng([3, 2, -2, 5]), 1)
+    assert g.layers[0].terms == {(): 5}
+    assert verify.random_group_element(ScriptedRng([2, 4, -4]), 1).is_identity
 
 
 def test_run_suite_all_rejects_options():

@@ -6,7 +6,7 @@ import pytest
 
 import hyperwreath
 from hyperwreath.liering import LieElement, parse_lie
-from hyperwreath.ordinals import ZERO, OrdinalCNF
+from hyperwreath.ordinals import ZERO, OrdinalCNF, tdeg_of_monomial
 from hyperwreath.partitions import EMPTY, Partition
 from hyperwreath.polyring import Poly
 from hyperwreath.verify import random_group_element, random_monomial
@@ -196,6 +196,61 @@ def test_tdeg_and_leading_term_examples():
 
     with pytest.raises(ValueError):
         GroupElement.identity(3).leading_term()
+
+
+def reference_tdeg(g):
+    """Reference for ``GroupElement.tdeg``: the largest degree over every term
+    of every layer."""
+    best = ZERO
+    for k, f in enumerate(g.layers, start=1):
+        for e in f.terms:
+            best = max(best, tdeg_of_monomial(Partition(e), k, g.n))
+    return best
+
+
+def test_tdeg_matches_the_all_terms_reference():
+    rng = random.Random(606)
+    for n in range(1, 6):
+        assert GroupElement.identity(n).tdeg() == reference_tdeg(GroupElement.identity(n)) == ZERO
+    lowest = set()
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        g = random_group_element(rng, n)
+        c = comm(g, random_group_element(rng, n))
+        for x in (g, c):
+            # and its upper parts, so that every layer is the lowest nonzero one
+            for j in range(n):
+                y = GroupElement(n, [Poly.zero()] * j + list(x.layers[j:]))
+                assert y.tdeg() == reference_tdeg(y)
+                if not y.is_identity:
+                    lowest.add(min(k for k in range(n) if y.layers[k].terms) + 1)
+                    assert y.tdeg() == y.leading_term().tdeg()
+    assert lowest == {1, 2, 3, 4, 5}
+
+
+def test_pow_matches_repeated_products():
+    rng = random.Random(707)
+    for n in (1, 2, 3, 4):
+        ident = GroupElement.identity(n)
+        for _ in range(10):
+            g = random_group_element(rng, n)
+            assert g ** 0 == ident
+            up, down = ident, ident
+            for m in range(1, 6):
+                up = up * g
+                down = down * g.inverse()
+                assert g ** m == up
+                assert g ** -m == down
+
+
+def test_identity():
+    for n in (1, 2, 5):
+        e = GroupElement.identity(n)
+        assert e == GroupElement(n, [Poly.zero()] * n)
+        assert e.is_identity and e.n == n
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            GroupElement.identity(n)
 
 
 def test_leading_of_monomial_comm_examples():
