@@ -1,0 +1,57 @@
+"""One work budget for the command line.
+
+The heavy loops charge deterministic units before they run: a term-dict
+product its pair count, a commutator the keys it yields and a candidate sweep
+its candidates.  An idealizer test charges the brackets it took right after,
+since it stops at the first escape.  The units do not depend on the machine,
+so neither does a refusal.  Charges count only inside a ``WorkBudget``
+block, which ``cli.main`` opens around each command; library callers run
+without a limit.
+"""
+
+from __future__ import annotations
+
+from contextvars import ContextVar
+from typing import Optional
+
+# Units one command may charge.  It admits the heaviest product the README
+# shows, [x1 + 1]D2 * [x2^140]D3 (1,401,548 units).  On a 2-vCPU VM under
+# Python 3.11, calc spends about 0.8 million units a second and verify
+# --suite chain 0.5-3 million, so either refuses a runaway run within about
+# two seconds.
+LIMIT = 1_500_000
+
+
+class BudgetExceeded(RuntimeError):
+    def __init__(self, limit: int):
+        super().__init__(f"the command needs more than the work budget of {limit:,} units")
+        self.limit = limit
+
+
+class WorkBudget:
+    """Units left to charge; active for charges while its ``with`` block runs."""
+
+    __slots__ = ("limit", "left", "_token")
+
+    def __init__(self):
+        self.limit = self.left = LIMIT
+
+    def __enter__(self) -> "WorkBudget":
+        self._token = _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE.reset(self._token)
+
+
+_ACTIVE: ContextVar[Optional[WorkBudget]] = ContextVar("hyperwreath_budget", default=None)
+
+
+def charge(units: int) -> None:
+    """Spend ``units`` of the active budget; raise ``BudgetExceeded`` when it
+    does not have them.  Without an active budget this does nothing."""
+    budget = _ACTIVE.get()
+    if budget is not None:
+        budget.left -= units
+        if budget.left < 0:
+            raise BudgetExceeded(budget.limit)

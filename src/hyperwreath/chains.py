@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
+from .budget import charge
 from .liering import LieKey, bracket_keys
 from .ordinals import OrdinalCNF
 from .partitions import EMPTY, Partition, enumerate_partitions, seq_at, sequences_abc
@@ -320,7 +321,7 @@ def comm_constituents(a: MonomialElement, b: MonomialElement) -> List[MonomialEl
     return g.decompose()
 
 
-def constituent_keys(a: LieKey, b: LieKey) -> List[LieKey]:
+def constituent_keys(a: LieKey, b: LieKey) -> Iterator[LieKey]:
     """Lie keys of the monic constituents of the commutator of two monomial
     elements with keys ``a`` and ``b``, whatever their coefficients.
 
@@ -331,17 +332,20 @@ def constituent_keys(a: LieKey, b: LieKey) -> List[LieKey]:
     part u, so the s give distinct keys and nothing cancels.  For k < u the
     roles swap; equal layers commute.  ``comm_constituents`` is the
     polynomial route to the same keys.
+
+    The keys come one at a time, so a caller that has its answer stops; all m
+    are charged when the first is taken.
     """
     (lam, k), (theta, u) = a, b
     if k == u:
-        return []
+        return
     if k < u:
         (lam, k), (theta, u) = b, a
-    out: List[LieKey] = []
-    for _ in range(lam.multiplicity(u)):
+    m = lam.multiplicity(u)
+    charge(m)
+    for _ in range(m):
         lam = lam.replace_part(u, theta)
-        out.append((lam, k))
-    return out
+        yield lam, k
 
 
 def saturated_closure(gens: Iterable[MonomialElement], wt_bound: int, n: int) -> SaturatedSet:
@@ -422,11 +426,14 @@ def idealizes(key: LieKey, h_keys: FrozenSet[LieKey]) -> bool:
     """Check that a Lie basis element idealizes the homogeneous subring
     spanned by ``h_keys``: each bracket with a member is again in the span.
     """
-    for other in h_keys:
+    verdict, calls = True, 0
+    for calls, other in enumerate(h_keys, 1):
         coeff, out = bracket_keys(key, other)
         if coeff != 0 and out not in h_keys:
-            return False
-    return True
+            verdict = False
+            break
+    charge(calls)  # after the fact: one call costs at most len(h_keys)
+    return verdict
 
 
 def center_membership(g: GroupElement, alpha: OrdinalCNF) -> bool:
@@ -437,14 +444,27 @@ def center_membership(g: GroupElement, alpha: OrdinalCNF) -> bool:
 # -- normalizer step verification --------------------------------------------------
 
 
-def candidate_monomials(n: int, wt_bound: int) -> List[MonomialElement]:
-    """All monic monomials of weight up to the bound, every layer."""
-    out: List[MonomialElement] = []
+def candidate_monomials(n: int, wt_bound: int) -> Iterator[MonomialElement]:
+    """All monic monomials of weight up to the bound, every layer, one at a time.
+
+    Their number is charged before the first is built.  Every layer above the
+    first has the candidate ``1^w`` of each weight; that many are charged
+    first, and they also pay for counting the rest, one pass per layer over a
+    table of ``wt_bound + 1`` entries.
+    """
+    least = (n - 1) * (wt_bound + 1) + 1
+    charge(least)
+    ways = [1] + [0] * wt_bound  # partitions of each weight into parts below the layer
+    count = 1
+    for part in range(1, n):
+        for w in range(part, wt_bound + 1):
+            ways[w] += ways[w - part]
+        count += sum(ways)
+    charge(count - least)
     for k in range(1, n + 1):
         for w in range(0, wt_bound + 1):
             for lam in enumerate_partitions(w, num_parts=None, max_part=k - 1):
-                out.append(MonomialElement(1, lam, k, n))
-    return out
+                yield MonomialElement(1, lam, k, n)
 
 
 @dataclass

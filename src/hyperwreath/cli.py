@@ -10,13 +10,11 @@ import argparse
 import inspect
 import re
 import sys
-from itertools import zip_longest
-from math import comb, prod
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import chains, liering, verify, wreath
+from .budget import BudgetExceeded, WorkBudget
 from .ordinals import OrdinalCNF
-from .polyring import Poly
 
 
 # -- calculator -----------------------------------------------------------------
@@ -33,18 +31,6 @@ _MAX_CALC_DEPTH = 100
 # of shifted variables, so its cost grows with the exponents it meets.
 _MAX_CALC_EXPONENT = 256
 
-# Largest degree a product or inverse may give a layer, by the a-priori bounds
-# below.  Degrees compound across layers: each product substitutes shifted
-# lower variables into the higher layers.  The cap lets a product keep the
-# degree one factor may have.
-_MAX_CALC_DEGREE = _MAX_CALC_EXPONENT
-
-# Largest number of terms a product or inverse may give a layer, by the same
-# a-priori bounds.  A degree cap does not bound the terms when many variables
-# share the degree: [x1^2]D2 * [x2^2]D3 * ... * [x7^2]D8 keeps degree 128 but
-# has 27,337 terms in its top layer and takes seconds.
-_MAX_CALC_TERMS = 10_000
-
 # Largest --n of every command: far above the largest chain studied (n = 16),
 # and small enough that a layer tuple and the tables built from it stay cheap.
 _MAX_N = 64
@@ -52,16 +38,6 @@ _MAX_N = 64
 # Largest --imax of every command: the growth table's level sets and partition
 # tables grow with the step, and chain --n 8 at this cap takes seconds.
 _MAX_IMAX = 1000
-
-# Largest --imax and --wt-bound of verify --suite chain by --n, as (largest n,
-# imax cap, wt-bound cap) bands.  The suite checks one normalizer step per i,
-# and a step's closure and candidates grow with i, n and the weight bound; a
-# given --wt-bound holds for every step.  At both caps each single-n run took
-# at most about 4 s, interpreter start included, on a 2-vCPU VM under Python
-# 3.11.  Above the last band even the first step takes seconds, and --n is
-# refused.
-_VERIFY_CAPS = ((2, 40, 200), (3, 32, 72), (4, 20, 44), (5, 16, 36), (6, 13, 30), (7, 11, 26),
-                (10, 9, 22), (14, 7, 20), (16, 6, 18), (18, 2, 22), (20, 1, 24))
 
 
 class CalcError(ValueError):
@@ -83,72 +59,6 @@ def _tokenize_calc(text: str) -> List[Tuple[str, int]]:
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
     return tokens
-
-
-class _Size(NamedTuple):
-    """Bounds on a layer: its total degree, its degree in each of x1, x2, ...
-    and its number of terms."""
-
-    degree: int
-    degrees: Tuple[int, ...]
-    terms: int
-
-
-def _size(f: Poly) -> _Size:
-    """The exact size of ``f``."""
-    return _Size(max(map(sum, f.terms), default=0),
-                 tuple(map(max, zip_longest(*f.terms, fillvalue=0))), len(f.terms))
-
-
-def _shifted(k: int, size: _Size) -> _Size:
-    """Bounds on x_(k+1) - f or x_(k+1) + f, for any f in x1..xk within ``size``."""
-    degrees = size.degrees + (0,) * (k - len(size.degrees)) + (1,)
-    return _Size(max(1, size.degree), degrees, size.terms + 1)
-
-
-def _composed(f: Poly, images: List[_Size], plus: _Size) -> _Size:
-    """Bounds on ``plus`` + f with x_j replaced by a polynomial within image j - 1.
-
-    A term x^e gives a product of powers of images.  A power p^v has at most
-    comb(t + v - 1, v) terms when p has t, and no layer has more terms than
-    the exponent vectors its per-variable degrees allow.
-    """
-    degree, terms = plus.degree, plus.terms
-    degrees = list(plus.degrees) + [0] * (len(images) - len(plus.degrees))
-    for e in f.terms:
-        row = [0] * len(images)
-        count = 1
-        for image, v in zip(images, e):
-            if v:
-                for i, d in enumerate(image.degrees):
-                    row[i] += v * d
-                count *= comb(image.terms + v - 1, v)
-        degree = max(degree, sum(v * image.degree for image, v in zip(images, e)))
-        degrees = list(map(max, degrees, row))
-        terms += count
-    return _Size(degree, tuple(degrees), min(terms, prod(d + 1 for d in degrees)))
-
-
-def _product_sizes(g: wreath.GroupElement, h: wreath.GroupElement) -> Iterator[_Size]:
-    """Bounds on the layers of ``g * h``: layer k is g_k plus layer k of h
-    composed with the images x_j - g_j."""
-    images = [_shifted(j, _size(f)) for j, f in enumerate(g.layers)]
-    for k, (f, fh) in enumerate(zip(g.layers, h.layers)):
-        yield _composed(fh, images[:k], _size(f))
-
-
-def _inverse_sizes(g: wreath.GroupElement) -> Iterator[_Size]:
-    """Bounds on the layers of ``g``'s inverse: layer k is minus g_k composed
-    with the images x_j + (layer j of the inverse).
-
-    Bounds compound from layer to layer, so callers that refuse a layer over
-    a cap should stop there rather than bound the layers above it.
-    """
-    images: List[_Size] = []
-    for k, f in enumerate(g.layers):
-        size = _composed(f, images, _Size(0, (), 0))
-        yield size
-        images.append(_shifted(k, size))
 
 
 def eval_expression(text: str, n: int) -> CalcValue:
@@ -182,26 +92,6 @@ def eval_expression(text: str, n: int) -> CalcValue:
             raise CalcError(f"{what} needs a group element", position)
         return value
 
-    def bounded(sizes: Iterator[_Size], what: str, position: int) -> None:
-        for size in sizes:  # lowest layer first, up to the first one over a cap
-            if size.degree > _MAX_CALC_DEGREE:
-                raise CalcError(f"{what} could reach layer degree {size.degree}, "
-                                f"above {_MAX_CALC_DEGREE}", position)
-            if size.terms > _MAX_CALC_TERMS:
-                raise CalcError(f"{what} could give a layer more than {_MAX_CALC_TERMS} "
-                                f"terms", position)
-
-    def product(g: CalcValue, h: CalcValue, position: int) -> wreath.GroupElement:
-        g = require_group(g, position, "product")
-        h = require_group(h, position, "product")
-        bounded(_product_sizes(g, h), "product", position)
-        return g * h
-
-    def inverse(g: CalcValue, position: int) -> wreath.GroupElement:
-        g = require_group(g, position, "inv")
-        bounded(_inverse_sizes(g), "inverse", position)
-        return g.inverse()
-
     def parse_factor(depth: int) -> CalcValue:
         tok = peek()
         if tok is None:
@@ -232,14 +122,11 @@ def eval_expression(text: str, n: int) -> CalcValue:
                 take(",")
                 second = parse_expr(depth + 1)
                 take(")")
-                g = require_group(first, position, "comm")
-                h = require_group(second, position, "comm")
-                # wreath.comm's g^-1 h^-1 g h, one bounded step at a time
-                return product(product(product(inverse(g, position), inverse(h, position),
-                                               position), g, position), h, position)
+                return wreath.comm(require_group(first, position, "comm"),
+                                   require_group(second, position, "comm"))
             take(")")
             if word == "inv":
-                return inverse(first, position)
+                return require_group(first, position, "inv").inverse()
             if word == "phi":
                 return liering.phi(require_group(first, position, "phi"))
             if isinstance(first, liering.LieElement):
@@ -258,7 +145,9 @@ def eval_expression(text: str, n: int) -> CalcValue:
             if tok is None or tok[0] != "*":
                 return value
             take()
-            value = product(value, parse_factor(depth), start)
+            factor = parse_factor(depth)
+            value = (require_group(value, start, "product")
+                     * require_group(factor, start, "product"))
 
     result = parse_expr(0)
     if idx < len(tokens):
@@ -324,12 +213,6 @@ def cmd_chain(args: argparse.Namespace) -> int:
     return 0 if report.all_match else 1
 
 
-def _verify_caps(n: int) -> Optional[Tuple[int, int]]:
-    """The largest --imax and --wt-bound verify --suite chain takes at ``n``,
-    or None when it does not take that --n."""
-    return next(((imax, wt) for largest, imax, wt in _VERIFY_CAPS if n <= largest), None)
-
-
 def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str]:
     """Why ``options`` (the set suite options) cannot run ``suite``, or None."""
     if suite == "all":
@@ -348,19 +231,11 @@ def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str
     params = inspect.signature(verify.SUITES[suite]).parameters
     if "i_max" not in params:
         return None
-    ns = (options["n"],) if "n" in options else params["ns"].default
-    i_max = options.get("imax", params["i_max"].default)
-    for n in ns:
-        caps = _verify_caps(n)
-        if caps is None:
-            return f"suite {suite} takes --n <= {_VERIFY_CAPS[-1][0]}"
-        if i_max > caps[0]:
-            return f"suite {suite} takes --imax <= {caps[0]} at --n {n}"
-        if options.get("wt_bound", 0) > caps[1]:
-            return f"suite {suite} takes --wt-bound <= {caps[1]} at --n {n}"
     if "wt_bound" in options:
-        # the check saturated_closure makes on the heaviest generator of step i_max - 1
-        floor = max(m.wt for n in ns for m in chains.enumerate_N(i_max - 1, n).basis)
+        # the check saturated_closure makes on the heaviest generator of step
+        # j = i_max - 1, which weighs max(j + 1, n - 1) (n - 1 at j = 0)
+        ns = (options["n"],) if "n" in options else params["ns"].default
+        floor = max(options.get("imax", params["i_max"].default), max(ns) - 1)
         if options["wt_bound"] < floor:
             return f"--wt-bound must be >= {floor}, the heaviest generator before step --imax"
     return None
@@ -473,11 +348,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _usage_error(f"--n must be <= {_MAX_N}")
     if getattr(args, "imax", None) is not None and args.imax > _MAX_IMAX:
         return _usage_error(f"--imax must be <= {_MAX_IMAX}")
-    if args.command == "chain":
-        return cmd_chain(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_calc(args)
+    command = {"chain": cmd_chain, "verify": cmd_verify, "calc": cmd_calc}[args.command]
+    try:
+        with WorkBudget():
+            return command(args)
+    except BudgetExceeded as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

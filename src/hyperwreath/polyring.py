@@ -14,6 +14,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .budget import charge
 from .partitions import Frozen, check_layer
 
 Coeff = Union[int, Fraction]
@@ -51,6 +52,7 @@ def _mul_terms(a: Terms, b: Terms) -> Terms:
 
     Exponent sums stay trimmed: the longer tuple ends in a nonzero entry.
     """
+    charge(len(a) * len(b))
     out: Terms = {}
     get = out.get
     for e1, c1 in a.items():
@@ -182,8 +184,8 @@ class Poly(Frozen):
 
     def partial_derivative(self, j: int) -> "Poly":
         """Formal partial derivative with respect to x_j."""
-        if j < 1:
-            raise ValueError("variable index must be >= 1")
+        if not isinstance(j, int) or j < 1:
+            raise ValueError(f"variable index must be an int >= 1, got {j!r}")
         data: Dict[Expo, Coeff] = {}
         for e, c in self.terms.items():
             if len(e) < j or e[j - 1] == 0:
@@ -218,6 +220,9 @@ class Poly(Frozen):
 
     def evaluate(self, point: Sequence[Coeff]) -> Coeff:
         """Exact value at an integer or rational point."""
+        for v in point:
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"coordinates must be int or Fraction, got {v!r}")
         if len(point) < self.nvars:
             raise ValueError(f"need {self.nvars} coordinates, got {len(point)}")
         total: Coeff = 0

@@ -9,18 +9,21 @@ from pathlib import Path
 
 import pytest
 
-from hyperwreath import verify
-from hyperwreath.cli import (_MAX_CALC_TERMS, CalcError, _inverse_sizes, _product_sizes,
-                             _verify_caps, _verify_config_error, eval_expression, main,
-                             suite_options)
+from hyperwreath import budget, verify
+from hyperwreath.chains import enumerate_N
+from hyperwreath.cli import CalcError, _verify_config_error, eval_expression, main, suite_options
 from hyperwreath.verify import random_group_element
-from hyperwreath.wreath import GroupElement, parse_element
+from hyperwreath.wreath import GroupElement, comm, parse_element
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refusal_line(limit):
+    return f"error: the command needs more than the work budget of {limit:,} units\n"
 
 
 def test_chain_text_exits_zero(capsys):
@@ -138,25 +141,68 @@ def test_verify_unknown_suite(capsys):
         "chain --n 8 --imax 1001",
         "verify --suite chain --imax 99999999999999999999",
         "verify --suite chain --n 3 --imax 1001",
-        "verify --suite chain --n 2 --imax 41",
         "verify --suite chain --n 4 --imax 40",
         "verify --suite chain --n 64 --imax 1",
+        "verify --suite chain --n 28 --imax 1",
+        "verify --suite chain --imax 1000",
+        "verify --suite chain --n 20 --imax 1000 --wt-bound 30",
+        "verify --suite chain --n 4 --imax 10 --wt-bound 60",
+        "verify --suite chain --n 2 --imax 1 --wt-bound 99999999999999999999",
         "calc [x1^4]D2*[x2^4]D3*[x3^4]D4*[x4^4]D5*[x5^4]D6 --n 6",
-        "calc inv([x2^200]D3*[x1^2]D2) --n 3",
-        "calc comm([x2^200]D3,[x1^2]D2) --n 3",
         "calc [x1^2]D2*[x2^2]D3*[x3^2]D4*[x4^2]D5*[x5^2]D6*[x6^2]D7*[x7^2]D8*[x8^2]D9 --n 10",
-        "calc [x1+1]D2*[x2^140]D3 --n 3",
         "calc inv([x1+1]D2*[x2^139]D3) --n 3",
         pytest.param("calc inv(" + "*".join(f"[x{k - 1}^256]D{k}" for k in range(64, 1, -1))
                      + ") --n 64", id="calc inv of 63 layers of degree 256"),
     ],
 )
-def test_bad_input_is_a_usage_error(capsys, argv):
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv):
+    # a runaway input is refused once it has spent the budget; a smaller one
+    # keeps this test quick, and the test below spends the real one
+    monkeypatch.setattr(budget, "LIMIT", 20_000)
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "calc [x1^2]D2*[x2^2]D3*[x3^2]D4*[x4^2]D5*[x5^2]D6*[x6^2]D7*[x7^2]D8*[x8^2]D9 --n 10",
+    "verify --suite chain --n 64 --imax 1",
+])
+def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", refusal_line(budget.LIMIT))
+
+
+@pytest.mark.parametrize("argv, units", [
+    ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 940),
+    ("verify --suite chain --n 5 --imax 8", 46_723),
+])
+def test_commands_charge_pinned_units(capsys, monkeypatch, argv, units):
+    monkeypatch.setattr(budget, "LIMIT", units)
+    assert run_cli(capsys, *argv.split())[0] == 0
+    monkeypatch.setattr(budget, "LIMIT", units - 1)
+    assert run_cli(capsys, *argv.split()) == (2, "", refusal_line(units - 1))
+
+
+def test_library_callers_run_without_a_budget(monkeypatch):
+    monkeypatch.setattr(budget, "LIMIT", 0)
+    g = parse_element("[x1 + 1]D2", 3) * parse_element("[x2^16]D3", 3)
+    assert eval_expression("[x1 + 1]D2 * [x2^16]D3", 3) == g
+
+
+def test_wt_bound_floor_is_the_heaviest_generator_before_step_imax():
+    for n in range(2, 9):
+        for j in range(0, 21):
+            floor = max(m.wt for m in enumerate_N(j, n).basis)
+            options = {"n": n, "imax": j + 1}
+            assert _verify_config_error("chain", {**options, "wt_bound": floor}) is None
+            assert _verify_config_error("chain", {**options, "wt_bound": floor - 1}) == (
+                f"--wt-bound must be >= {floor}, the heaviest generator before step --imax")
+    # without --n the suite runs n = 3 and 4
+    assert _verify_config_error("chain", {"imax": 1, "wt_bound": 3}) is None
+    assert _verify_config_error("chain", {"imax": 1, "wt_bound": 2}) is not None
 
 
 def test_readme_lists_the_options_each_suite_takes():
@@ -195,45 +241,14 @@ def test_verify_takes_imax_up_to_its_cap(capsys):
     assert code == 0 and out.splitlines()[-1] == "all properties hold (42/42)"
 
 
-def test_verify_imax_cap_boundaries(capsys):
-    caps = {n: _verify_caps(n)[0] for n in range(2, 21)}
-    assert [caps[n] for n in (2, 3, 4, 5, 6, 7, 8, 10, 11, 14, 15, 16, 17, 18, 19, 20)] == [
-        40, 32, 20, 16, 13, 11, 9, 9, 7, 7, 6, 6, 2, 2, 1, 1]
-    for n, cap in caps.items():
-        assert _verify_config_error("chain", {"n": n, "imax": cap}) is None
-        code, out, err = run_cli(capsys, "verify", "--suite", "chain", "--n", str(n),
-                                 "--imax", str(cap + 1))
-        assert code == 2 and out == ""
-        assert err == f"error: suite chain takes --imax <= {cap} at --n {n}\n"
-    # without --n the suite runs n = 3 and 4, so the smaller cap holds
-    assert _verify_config_error("chain", {"imax": 20}) is None
-    assert _verify_config_error("chain", {"imax": 21}) is not None
-    # the default --imax (6) is above the cap from n = 17 on
-    assert _verify_config_error("chain", {"n": 16}) is None
-    assert _verify_config_error("chain", {"n": 17}) is not None
-    code, _, err = run_cli(capsys, "verify", "--suite", "chain", "--n", "21", "--imax", "1")
-    assert code == 2 and err == "error: suite chain takes --n <= 20\n"
-
-
-def test_verify_wt_bound_cap_boundaries(capsys):
-    for n in range(2, 21):
-        imax, cap = _verify_caps(n)
-        assert _verify_config_error("chain", {"n": n, "imax": imax, "wt_bound": cap}) is None
-        code, out, err = run_cli(capsys, "verify", "--suite", "chain", "--n", str(n),
-                                 "--imax", "1", "--wt-bound", str(cap + 1))
-        assert code == 2 and out == ""
-        assert err == f"error: suite chain takes --wt-bound <= {cap} at --n {n}\n"
-    code, out, _ = run_cli(capsys, "verify", "--suite", "chain", "--n", "2", "--imax", "1",
-                           "--wt-bound", "200")
-    assert code == 0 and out.splitlines()[0] == "PASS normalizer step n=2 i=1 (bound 200)"
-    # these took 11 s and 7 s before the cap
-    for n, bound in ((4, 60), (3, 100)):
-        code, _, err = run_cli(capsys, "verify", "--suite", "chain", "--n", str(n), "--imax", "10",
-                               "--wt-bound", str(bound))
-        assert code == 2 and err.count("error:") == 1
-    # without --n the suite runs n = 3 and 4, so the smaller cap holds
-    assert _verify_config_error("chain", {"imax": 20, "wt_bound": 44}) is None
-    assert _verify_config_error("chain", {"wt_bound": 45}) is not None
+@pytest.mark.parametrize("argv", [
+    "verify --suite chain --n 2 --imax 41",
+    "verify --suite chain --n 2 --imax 1 --wt-bound 200",
+    "verify --suite chain --n 3 --imax 10 --wt-bound 100",
+])
+def test_verify_runs_past_the_removed_caps(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and out.splitlines()[-1].startswith("all properties hold")
 
 
 def test_verify_chain_default_bound_covers_the_first_generators(capsys):
@@ -244,29 +259,6 @@ def test_verify_chain_default_bound_covers_the_first_generators(capsys):
                                     "PASS normalizer step n=8 i=2 (bound 8)"]
 
 
-def test_calc_degree_bounds_hold_on_random_elements():
-    rng = random.Random(4)
-    for n in (2, 3, 4, 5):
-        elements = [random_group_element(rng, n) for _ in range(8)]
-        elements += [a * b for a, b in zip(elements, elements[1:])]
-        for g, h in zip(elements, elements[1:]):
-            for bounds, result in ((_product_sizes(g, h), g * h), (_inverse_sizes(g), g.inverse())):
-                for f, bound in zip(result.layers, bounds):
-                    assert max((sum(e) for e in f.terms), default=0) <= bound.degree
-                    assert all(v <= d for e in f.terms for v, d in zip(e, bound.degrees))
-                    assert all(len(e) <= len(bound.degrees) for e in f.terms)
-                    assert len(f.terms) <= bound.terms
-
-
-def test_calc_term_bounds_are_tight_on_powers_of_binomials():
-    g, h = parse_element("[x1 + 1]D2", 3), parse_element("[x2^139]D3", 3)
-    assert [b.terms for b in _product_sizes(g, h)] == [0, 2, 9870]
-    assert len((g * h).layers[2].terms) == 9870
-    # x2^139 is the largest power of x2 - x1 - 1 within the cap
-    over = list(_product_sizes(g, parse_element("[x2^140]D3", 3)))[2]
-    assert over.terms > _MAX_CALC_TERMS >= 9870
-
-
 def test_calc_keeps_products_within_the_degree_cap(capsys):
     code, out, _ = run_cli(capsys, "calc", "[1]D1 * [x1^256]D2", "--n", "2")
     assert code == 0 and out.startswith("[x1^256 - 256*x1^255 + ")
@@ -274,6 +266,25 @@ def test_calc_keeps_products_within_the_degree_cap(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "calc", "[x1 + 1]D2 * [x2^139]D3", "--n", "3")
     assert code == 0 and out.startswith("[-x1^139 + 139*x1^138*x2 - 9591*x1^137*x2^2 + ")
+
+
+@pytest.mark.parametrize("expr, value", [
+    pytest.param("inv([x2^200]D3*[x1^2]D2)", lambda g, h: (g * h).inverse(),
+                 id="inv([x2^200]D3*[x1^2]D2)"),
+    pytest.param("comm([x2^200]D3,[x1^2]D2)", comm, id="comm([x2^200]D3,[x1^2]D2)"),
+])
+def test_calc_runs_past_the_removed_size_bounds(capsys, expr, value):
+    g, h = parse_element("[x2^200]D3", 3), parse_element("[x1^2]D2", 3)
+    code, out, _ = run_cli(capsys, "calc", expr, "--n", "3")
+    assert code == 0 and out == value(g, h).render() + "\n"
+
+
+def test_calc_takes_a_product_past_the_removed_term_bound(capsys):
+    # (x2 - x1 - 1)^140 has C(142, 2) = 10,011 terms, past the old bound of 10,000
+    code, out, _ = run_cli(capsys, "calc", "[x1+1]D2*[x2^140]D3", "--n", "3")
+    top = out[1:out.index("]")]
+    assert code == 0 and top.startswith("x1^140 - 140*x1^139*x2 + 9730*x1^138*x2^2 - ")
+    assert top.count(" + ") + top.count(" - ") + 1 == 10_011
 
 
 def test_calc_product_and_inverse(capsys):

@@ -40,6 +40,12 @@ def test_partial_derivative_examples():
     assert (x2 ** 3).partial_derivative(1) == Poly.zero()
 
 
+@pytest.mark.parametrize("j", [1.5, 1.0, "1", None])
+def test_partial_derivative_refuses_a_non_int_index(j):
+    with pytest.raises(ValueError):
+        x1.partial_derivative(j)
+
+
 def test_substitute_examples():
     assert (x1 ** 2).substitute([x1 + 1]) == x1 ** 2 + 2 * x1 + 1
     assert x2.substitute([x1, x2 - x1]) == x2 - x1
@@ -138,6 +144,13 @@ def test_evaluate_examples():
     assert (x1 * x2).evaluate((2, 3)) == 6
     assert Poly.zero().evaluate((4, 4)) == 0
     assert (x1 ** 2 - 1).evaluate((3,)) == 8
+    assert (x1 ** 2).evaluate((Fraction(1, 2),)) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("point", [(0.5,), (2.0,), ("2",), (1, 0.5)])
+def test_evaluate_refuses_an_inexact_coordinate(point):
+    with pytest.raises(ValueError):
+        x1.evaluate(point)
 
 
 def test_integrality_tracking():
