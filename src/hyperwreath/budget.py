@@ -1,8 +1,9 @@
 """One work budget for the command line.
 
 The heavy loops charge deterministic units before they run: a term-dict
-product its pair count, a commutator the keys it yields and a candidate sweep
-its candidates.  An idealizer test charges the brackets it took right after,
+product its pair count, a group product or inverse one unit per layer, a
+commutator the keys it yields, a candidate sweep its candidates and an orbit
+grid its act calls.  An idealizer test charges the brackets it took right after,
 since it stops at the first escape.  The units do not depend on the machine,
 so neither does a refusal.  Charges count only inside a ``WorkBudget``
 block, which ``cli.main`` opens around each command; library callers run
@@ -15,7 +16,7 @@ from contextvars import ContextVar
 from typing import Optional
 
 # Units one command may charge.  It admits the heaviest product the README
-# shows, [x1 + 1]D2 * [x2^140]D3 (1,401,548 units).  On a 2-vCPU VM under
+# shows, [x1 + 1]D2 * [x2^140]D3 (1,401,551 units).  On a 2-vCPU VM under
 # Python 3.11, calc spends about 0.8 million units a second and verify
 # --suite chain 0.5-3 million, so either refuses a runaway run within about
 # two seconds.

@@ -20,8 +20,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
 from .budget import charge
 from .liering import LieKey, bracket_keys
-from .ordinals import OrdinalCNF
-from .partitions import EMPTY, Partition, enumerate_partitions, seq_at, sequences_abc
+from .ordinals import OrdinalCNF, tdeg_of_monomial
+from .partitions import EMPTY, Partition, check_layer, enumerate_partitions, seq_at, sequences_abc
 from .polyring import Poly
 from .wreath import GroupElement, MonomialElement, comm_formula
 
@@ -45,14 +45,21 @@ def r_func(i: int, n: int) -> int:
     return (i - 1) % (n - 1) + 1
 
 
-def wdd(m: MonomialElement) -> int:
-    """Weight-degree defect: wt - deg + n - layer."""
-    return m.wt - m.deg + m.n - m.layer
+def wdd(key: LieKey, n: int) -> int:
+    """Weight-degree defect of the monic monomial ``key``: wt - deg + n - layer."""
+    lam, k = key
+    return lam.weight - lam.degree + n - k
 
 
-def lev(i: int, m: MonomialElement) -> int:
+def lev(i: int, key: LieKey, n: int) -> int:
     """Level function at step i: h_i * wdd + deg - 1."""
-    return h_func(i, m.n) * wdd(m) + m.deg - 1
+    return h_func(i, n) * wdd(key, n) + key[0].degree - 1
+
+
+def render_key(key: LieKey, n: int) -> str:
+    """The element text of the monic monomial ``key``, e.g. ``[x1^2]D3``."""
+    lam, k = key
+    return MonomialElement(1, lam, k, n).render()
 
 
 # -- saturated sets ----------------------------------------------------------
@@ -90,7 +97,8 @@ class _KeyIndex:
 
 @dataclass(frozen=True)
 class SaturatedSet:
-    """A finite basis of monic monomials, optionally a weight-bounded closure.
+    """A finite basis of monic monomials ``x^lam Delta_k`` of ``W_n``, given by
+    their keys ``(lam, k)``; optionally a weight-bounded closure.
 
     ``closure_bound`` is None for plain enumerated generator sets and carries
     the admitted weight for sets produced by ``saturated_closure``;
@@ -98,44 +106,35 @@ class SaturatedSet:
     """
 
     n: int
-    basis: FrozenSet[MonomialElement]
+    keys: FrozenSet[LieKey]
     closure_bound: Optional[int] = None
     discards: int = 0
 
     def __post_init__(self):
-        for m in self.basis:
-            if m.n != self.n:
-                raise ValueError("basis member belongs to a different group")
-            if not m.is_monic:
-                raise ValueError("basis members must be monic")
+        for lam, k in self.keys:
+            check_layer(k, self.n, lam.max_part)
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(self.keys)
 
     @cached_property
     def _index(self) -> _KeyIndex:
-        return _KeyIndex(m.lie_key() for m in self.basis)
-
-    def lie_keys(self) -> FrozenSet[LieKey]:
-        return frozenset(self._index.keys)
+        return _KeyIndex(self.keys)
 
 
 # -- generator enumeration -----------------------------------------------------
 
 
-def _level_new_members(j: int, n: int) -> Set[MonomialElement]:
-    """Monic monomials with a nonempty partition satisfying lev_j = j.
+def _level_new_members(j: int, n: int) -> Set[LieKey]:
+    """Keys of the monic monomials with a nonempty partition satisfying lev_j = j.
 
     For j = 0 the level function degenerates to deg - 1, which selects
     exactly the single-variable linear monomials.  For j >= 1 the step height
     is positive, so the defect is forced and the partitions are enumerable.
     """
-    out: Set[MonomialElement] = set()
     if j == 0:
-        for k in range(2, n + 1):
-            for v in range(1, k):
-                out.add(MonomialElement(1, Partition.from_parts([v]), k, n))
-        return out
+        return {(Partition.from_parts([v]), k) for k in range(2, n + 1) for v in range(1, k)}
+    out: Set[LieKey] = set()
     h = h_func(j, n)
     for d in range(1, j + 2):
         if (j - d + 1) % h != 0:
@@ -148,7 +147,7 @@ def _level_new_members(j: int, n: int) -> Set[MonomialElement]:
             if wt < d:
                 continue
             for lam in enumerate_partitions(wt, num_parts=d, max_part=k - 1):
-                out.add(MonomialElement(1, lam, k, n))
+                out.add((lam, k))
     return out
 
 
@@ -162,12 +161,10 @@ def enumerate_N(i: int, n: int) -> SaturatedSet:
     """
     if i < -1:
         raise ValueError("i must be >= -1")
-    members: Set[MonomialElement] = {
-        MonomialElement(1, EMPTY, k, n) for k in range(1, n + 1)
-    }
+    members: Set[LieKey] = {(EMPTY, k) for k in range(1, n + 1)}
     for j in range(0, i + 1):
         members |= _level_new_members(j, n)
-    return SaturatedSet(n=n, basis=frozenset(members))
+    return SaturatedSet(n=n, keys=frozenset(members))
 
 
 # -- growth report ---------------------------------------------------------------
@@ -272,14 +269,15 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
     _, b, c = sequences_abc(i_max + n + 2)
     threshold = growth_threshold(n)
     report = ChainReport(n=n, i_max=i_max, threshold=threshold)
-    members = set(enumerate_N(0, n).basis)
+    members = set(enumerate_N(0, n).keys)
     for i in range(1, i_max + 1):
         # a level set repeats some earlier members, so the increment is its rest
-        new = sorted(_level_new_members(i, n) - members, key=lambda m: m.tdeg(), reverse=True)
+        new = sorted(_level_new_members(i, n) - members,
+                     key=lambda key: tdeg_of_monomial(*key, n), reverse=True)
         members.update(new)
         counts = {k: 0 for k in range(1, n + 1)}
-        for m in new:
-            counts[m.layer] += 1
+        for _, k in new:
+            counts[k] += 1
         r = r_func(i, n)
         predicted = {k: seq_at(b, r + k - n - 1) for k in range(1, n + 1)}
         predicted_total = seq_at(c, r - 1)
@@ -293,7 +291,7 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
                 i=i,
                 r=r,
                 h=h_func(i, n),
-                generators=[m.render() for m in new],
+                generators=[render_key(key, n) for key in new],
                 counts=counts,
                 predicted=predicted,
                 total=len(new),
@@ -348,18 +346,17 @@ def constituent_keys(a: LieKey, b: LieKey) -> Iterator[LieKey]:
         yield lam, k
 
 
-def saturated_closure(gens: Iterable[MonomialElement], wt_bound: int, n: int) -> SaturatedSet:
-    """Least monic-monomial set containing ``gens`` and closed under taking the
-    monic parts of commutator constituents, up to the weight bound.
+def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> SaturatedSet:
+    """Least monic-monomial set containing the keys ``gens`` and closed under
+    taking the monic parts of commutator constituents, up to the weight bound.
 
     Constituents heavier than the bound are discarded and counted; a nonzero
     discard count marks the closure as potentially incomplete.  The iteration
     cap only guards against a runaway loop; the set is finite by the bound.
     """
-    monics = {m.monic_part() for m in gens}
-    if monics and wt_bound < max(m.wt for m in monics):
+    members = _KeyIndex(gens)
+    if members.keys and wt_bound < max(lam.weight for lam, _ in members.keys):
         raise ValueError("wt_bound is below the heaviest generator")
-    members = _KeyIndex(m.lie_key() for m in monics)
     discarded: Set[LieKey] = set()
     frontier = set(members.keys)
     rounds = 0
@@ -383,18 +380,16 @@ def saturated_closure(gens: Iterable[MonomialElement], wt_bound: int, n: int) ->
             members.add(key)
         frontier = new
     return SaturatedSet(
-        n=n,
-        basis=frozenset(MonomialElement(1, lam, k, n) for lam, k in members.keys),
-        closure_bound=wt_bound,
-        discards=len(discarded),
+        n=n, keys=frozenset(members.keys), closure_bound=wt_bound, discards=len(discarded)
     )
 
 
 # -- normalizer / idealizer verification ----------------------------------------
 
 
-def normalizes(b: MonomialElement, H: SaturatedSet) -> Optional[bool]:
-    """Bounded check that ``b`` normalizes the saturated subgroup with basis ``H``.
+def normalizes(key: LieKey, H: SaturatedSet) -> Optional[bool]:
+    """Bounded check that the monic monomial ``key`` normalizes the saturated
+    subgroup with basis ``H``.
 
     True when every constituent of every commutator with a basis member lands
     back in the basis.  A constituent that escapes the basis within the bound
@@ -404,10 +399,8 @@ def normalizes(b: MonomialElement, H: SaturatedSet) -> Optional[bool]:
     """
     if H.closure_bound is None:
         raise ValueError("normalizes requires a closed SaturatedSet")
-    if b.n != H.n:
-        raise ValueError("mismatched n")
+    check_layer(key[1], H.n, key[0].max_part)
     index = H._index
-    key = b.lie_key()
     any_unknown = False
     for other in index.partners(key):
         for out in constituent_keys(key, other):
@@ -444,8 +437,9 @@ def center_membership(g: GroupElement, alpha: OrdinalCNF) -> bool:
 # -- normalizer step verification --------------------------------------------------
 
 
-def candidate_monomials(n: int, wt_bound: int) -> Iterator[MonomialElement]:
-    """All monic monomials of weight up to the bound, every layer, one at a time.
+def candidate_keys(n: int, wt_bound: int) -> Iterator[LieKey]:
+    """Keys of all monic monomials of weight up to the bound, every layer, one
+    at a time.
 
     Their number is charged before the first is built.  Every layer above the
     first has the candidate ``1^w`` of each weight; that many are charged
@@ -464,7 +458,7 @@ def candidate_monomials(n: int, wt_bound: int) -> Iterator[MonomialElement]:
     for k in range(1, n + 1):
         for w in range(0, wt_bound + 1):
             for lam in enumerate_partitions(w, num_parts=None, max_part=k - 1):
-                yield MonomialElement(1, lam, k, n)
+                yield lam, k
 
 
 @dataclass
@@ -501,10 +495,9 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
     prev = enumerate_N(i - 1, n)
     if wt_bound is None:
         # from n = 8 on, the first generators are heavier than 2 * (i + 2)
-        wt_bound = max(2 * (i + 2), max((m.wt for m in prev.basis), default=0))
-    closure = saturated_closure(prev.basis, wt_bound, n=n)
-    target = prev.basis | _level_new_members(i, n)
-    h_keys = closure.lie_keys()
+        wt_bound = max(2 * (i + 2), max((lam.weight for lam, _ in prev.keys), default=0))
+    closure = saturated_closure(prev.keys, wt_bound, n=n)
+    target = prev.keys | _level_new_members(i, n)
     step = ChainStepCheck(
         n=n,
         i=i,
@@ -518,24 +511,24 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
         unknowns=[],
         mirror_disagreements=[],
     )
-    for b in candidate_monomials(n, wt_bound):
-        verdict = normalizes(b, closure)
+    for key in candidate_keys(n, wt_bound):
+        verdict = normalizes(key, closure)
         if verdict is None:
-            step.unknowns.append(b.render())
+            step.unknowns.append(render_key(key, n))
             continue
         if verdict:
             step.group_passes += 1
-        lie_verdict = idealizes(b.lie_key(), h_keys)
+        lie_verdict = idealizes(key, closure.keys)
         if lie_verdict:
             step.lie_passes += 1
         if lie_verdict != verdict:
-            step.mirror_disagreements.append(b.render())
-        if b in target:
+            step.mirror_disagreements.append(render_key(key, n))
+        if key in target:
             step.members_checked += 1
             if not verdict:
-                step.member_failures.append(b.render())
+                step.member_failures.append(render_key(key, n))
         else:
             step.outsiders_checked += 1
             if verdict:
-                step.outsider_passes.append(b.render())
+                step.outsider_passes.append(render_key(key, n))
     return step

@@ -5,7 +5,8 @@ number of parts equal to ``i``.  This makes the weight ``sum(i * mult_i)``,
 the number of parts and the exponent vector of the associated power monomial
 all read off directly.
 It imports nothing from the package, so it also holds the rules every value
-class shares: the immutability base ``Frozen`` and the layer check ``check_layer``.
+class shares: the immutability base ``Frozen``, the layer check ``check_layer``
+and the check of other integer arguments ``check_index``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,17 @@ class Frozen:
 def check_layer(k: int, n: int, top: int) -> None:
     """The triangular rule of ``W_n``: layer ``k`` lies in ``1..n`` and uses only
     variables (partition parts) below ``k``; ``top`` is the highest in use, or 0."""
-    if not 1 <= k <= n or top >= k:
+    if not (isinstance(k, int) and isinstance(n, int)) or not 1 <= k <= n or top >= k:
         raise ValueError(f"need 1 <= layer <= n and every variable index below the layer, "
                          f"got layer {k}, n={n}, highest index {top}")
+
+
+def check_index(i: int, least: int, what: str) -> None:
+    """The check of an integer argument that is not a layer, such as a
+    variable or part index, a group's ``n`` or an exponent: an int, at least
+    ``least``."""
+    if not isinstance(i, int) or i < least:
+        raise ValueError(f"{what} must be an int >= {least}, got {i!r}")
 
 
 class Partition(Frozen):
@@ -92,8 +101,7 @@ class Partition(Frozen):
 
     def multiplicity(self, i: int) -> int:
         """Multiplicity of the part ``i`` (1-indexed)."""
-        if i < 1:
-            raise ValueError("part index must be >= 1")
+        check_index(i, 1, "part index")
         return self.mults[i - 1] if i <= len(self.mults) else 0
 
     # -- multiset arithmetic ---------------------------------------------

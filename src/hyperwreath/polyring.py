@@ -15,7 +15,7 @@ from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .budget import charge
-from .partitions import Frozen, check_layer
+from .partitions import Frozen, check_index, check_layer
 
 Coeff = Union[int, Fraction]
 Expo = Tuple[int, ...]
@@ -106,8 +106,7 @@ class Poly(Frozen):
     @classmethod
     def variable(cls, j: int) -> "Poly":
         """The variable x_j (1-indexed)."""
-        if j < 1:
-            raise ValueError("variable index must be >= 1")
+        check_index(j, 1, "variable index")
         return cls._of({(0,) * (j - 1) + (1,): 1})
 
     @classmethod
@@ -168,8 +167,7 @@ class Poly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Poly":
-        if power < 0:
-            raise ValueError("negative powers are not polynomials")
+        check_index(power, 0, "the exponent of a polynomial")
         result: Terms = {(): 1}
         base = self.terms
         while power:
@@ -184,8 +182,7 @@ class Poly(Frozen):
 
     def partial_derivative(self, j: int) -> "Poly":
         """Formal partial derivative with respect to x_j."""
-        if not isinstance(j, int) or j < 1:
-            raise ValueError(f"variable index must be an int >= 1, got {j!r}")
+        check_index(j, 1, "variable index")
         data: Dict[Expo, Coeff] = {}
         for e, c in self.terms.items():
             if len(e) < j or e[j - 1] == 0:

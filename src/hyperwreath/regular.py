@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Tuple
 
+from .budget import charge
 from .chains import enumerate_N
 from .partitions import Frozen, Partition
 from .wreath import GroupElement, comm, conjugate
@@ -94,8 +95,8 @@ def is_normal_in_N0(family: RegularFamily) -> bool:
     generator inside the family (checked on both conjugation sides).
     """
     n = family.n
-    for s_mon in enumerate_N(0, n).basis:
-        s = s_mon.to_group()
+    for lam, k in enumerate_N(0, n).keys:
+        s = GroupElement.monomial(1, lam, k, n)
         s_inv = s.inverse()
         for t in family.generators:
             for image in (conjugate(t, s), conjugate(t, s_inv)):
@@ -114,6 +115,7 @@ def orbit_injectivity(family: RegularFamily, radius: int) -> bool:
         raise ValueError("radius must be >= 1")
     n = family.n
     span = range(-radius, radius + 1)
+    charge(n * len(span) ** n)  # each grid point takes n act calls
     gen_powers = [{m: gen ** m for m in span} for gen in family.generators]
     seen = set()
     for exps in itertools.product(span, repeat=n):

@@ -217,7 +217,8 @@ def suite_centers(seed: int, ns: Sequence[int] = (3, 4)) -> List[PropertyResult]
     center = PropertyResult("degree-zero monomials are exactly the top-layer constants")
     one = OrdinalCNF.from_int(1)
     for n in ns:
-        for b in chains.candidate_monomials(n, 4):
+        for lam, k in chains.candidate_keys(n, 4):
+            b = wreath.MonomialElement(1, lam, k, n)
             bg = b.to_group()
             alpha = b.tdeg()
             above = alpha.successor()

@@ -20,8 +20,9 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
+from .budget import charge
 from .ordinals import ZERO, OrdinalCNF, tdeg_of_monomial
-from .partitions import Frozen, Partition, check_layer
+from .partitions import Frozen, Partition, check_index, check_layer
 from .polyring import (Poly, PowerTable, Terms, _add_substituted, _norm_coeff, monomial_text,
                        parse_poly, signed_sum)
 
@@ -42,26 +43,8 @@ class MonomialElement(Frozen):
         object.__setattr__(self, "layer", layer)
         object.__setattr__(self, "n", n)
 
-    @property
-    def wt(self) -> int:
-        return self.lam.weight
-
-    @property
-    def deg(self) -> int:
-        return self.lam.degree
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coeff == 1
-
-    def monic_part(self) -> "MonomialElement":
-        return self if self.coeff == 1 else MonomialElement(1, self.lam, self.layer, self.n)
-
     def tdeg(self) -> OrdinalCNF:
         return tdeg_of_monomial(self.lam, self.layer, self.n)
-
-    def lie_key(self) -> Tuple[Partition, int]:
-        return (self.lam, self.layer)
 
     def to_group(self) -> "GroupElement":
         return GroupElement.from_layer_poly(
@@ -94,8 +77,7 @@ class GroupElement(Frozen):
     __slots__ = ("n", "layers")
 
     def __init__(self, n: int, layers: Sequence[Poly]):
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        check_index(n, 1, "n")
         layers = tuple(layers)
         if len(layers) != n:
             raise ValueError(f"expected {n} layers, got {len(layers)}")
@@ -119,8 +101,7 @@ class GroupElement(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "GroupElement":
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        check_index(n, 1, "n")
         return cls._of(n, (Poly.zero(),) * n)
 
     @classmethod
@@ -169,6 +150,7 @@ class GroupElement(Frozen):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("elements live in different groups")
+        charge(self.n)  # one unit per layer, besides the products of its terms
         # x_i - f_{i-1}, the action of self on coordinates, with its powers
         shifted = PowerTable()
         out: List[Poly] = []
@@ -181,6 +163,7 @@ class GroupElement(Frozen):
 
     def inverse(self) -> "GroupElement":
         """Triangular back-substitution: recover original coordinates layer by layer."""
+        charge(self.n)  # one unit per layer, besides the products of its terms
         original = PowerTable()  # x_i expressed in the moved coordinates
         out: List[Poly] = []
         for k, f in enumerate(self.layers):
@@ -191,8 +174,9 @@ class GroupElement(Frozen):
         return GroupElement._of(self.n, tuple(out))
 
     def __pow__(self, power: int) -> "GroupElement":
-        if power < 0:
+        if isinstance(power, int) and power < 0:
             return self.inverse() ** (-power)
+        check_index(power, 0, "the exponent of a group element")
         result: Optional[GroupElement] = None  # the identity, until the first factor
         base = self
         while power:

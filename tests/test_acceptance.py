@@ -14,7 +14,7 @@ import numpy as np
 
 from hyperwreath import chains, liering, regular, wreath
 from hyperwreath.chains import (
-    candidate_monomials,
+    candidate_keys,
     center_membership,
     check_chain_step,
     enumerate_N,
@@ -25,7 +25,8 @@ from hyperwreath.ordinals import ONE
 from hyperwreath.partitions import Partition, sequences_abc
 from hyperwreath.polyring import Poly
 from hyperwreath.verify import random_group_element, random_monomial
-from hyperwreath.wreath import GroupElement, comm, comm_formula, parse_element, taylor_comm
+from hyperwreath.wreath import (GroupElement, MonomialElement, comm, comm_formula, parse_element,
+                                taylor_comm)
 
 
 @contextmanager
@@ -216,7 +217,8 @@ def test_criterion_6_central_series():
     with criterion(6, "central series: degree drop and the alpha=1 classification"):
         rng = random.Random(6)
         for n in (3, 4):
-            for b in candidate_monomials(n, 4):
+            for lam, k in candidate_keys(n, 4):
+                b = MonomialElement(1, lam, k, n)
                 bg = b.to_group()
                 alpha = b.tdeg()
                 assert center_membership(bg, ONE) == (b.lam.is_empty and b.layer == n)
@@ -250,8 +252,8 @@ def test_criterion_7_and_9_chain_steps_with_mirror():
     with criterion(9, "idealizer mirrors every normalizer verdict and rank counts agree"):
         for (n, i), step in steps.items():
             assert step.mirror_disagreements == [], (n, i)
-            assert step.group_passes == step.lie_passes == len(enumerate_N(i, n).basis)
-            added = step.group_passes - len(enumerate_N(i - 1, n).basis)
+            assert step.group_passes == step.lie_passes == len(enumerate_N(i, n))
+            added = step.group_passes - len(enumerate_N(i - 1, n))
             assert added == verify_growth(n, i).rows[-1].total
 
 

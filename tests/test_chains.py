@@ -10,7 +10,7 @@ import pytest
 from hyperwreath.chains import (
     SaturatedSet,
     _level_new_members,
-    candidate_monomials,
+    candidate_keys,
     center_membership,
     check_chain_step,
     comm_constituents,
@@ -22,6 +22,7 @@ from hyperwreath.chains import (
     lev,
     normalizes,
     r_func,
+    render_key,
     saturated_closure,
     verify_growth,
     wdd,
@@ -32,8 +33,14 @@ from hyperwreath.verify import random_monomial
 from hyperwreath.wreath import GroupElement, MonomialElement
 
 
-def mono(parts, k, n):
-    return MonomialElement(1, Partition.from_parts(parts), k, n)
+def key(parts, k):
+    """The key of the monic monomial x^lam D_k whose partition has ``parts``."""
+    return Partition.from_parts(parts), k
+
+
+def as_key(m):
+    """The key of a monomial element's monic part."""
+    return m.lam, m.layer
 
 
 def test_h_and_r_examples():
@@ -49,37 +56,37 @@ def test_h_and_r_examples():
 
 def test_wdd_and_lev_examples():
     n = 4
-    assert wdd(mono([], n, n)) == 0
-    assert wdd(mono([1], 2, n)) == 2
-    assert lev(1, mono([1, 1], 4, n)) == 1
-    assert lev(0, mono([1], 2, n)) == 0
+    assert wdd(key([], n), n) == 0
+    assert wdd(key([1], 2), n) == 2
+    assert lev(1, key([1, 1], 4), n) == 1
+    assert lev(0, key([1], 2), n) == 0
 
 
 def test_enumerate_N_base_cases():
     for n in (2, 3, 4):
         base = enumerate_N(-1, n)
-        assert base.basis == {MonomialElement(1, EMPTY, k, n) for k in range(1, n + 1)}
+        assert base.keys == {(EMPTY, k) for k in range(1, n + 1)}
 
 
 def test_enumerate_N0_is_unitriangular_frame():
-    got = enumerate_N(0, 4).basis
-    expected = {MonomialElement(1, EMPTY, k, 4) for k in range(1, 5)}
-    expected |= {mono([j], k, 4) for k in range(2, 5) for j in range(1, k)}
+    got = enumerate_N(0, 4).keys
+    expected = {(EMPTY, k) for k in range(1, 5)}
+    expected |= {key([j], k) for k in range(2, 5) for j in range(1, k)}
     assert got == expected
     assert len(got) == 10
 
 
 def test_first_step_adds_the_single_square():
-    prev = enumerate_N(0, 4).basis
-    new = enumerate_N(1, 4).basis - prev
-    assert new == {mono([1, 1], 4, 4)}
+    prev = enumerate_N(0, 4).keys
+    new = enumerate_N(1, 4).keys - prev
+    assert new == {key([1, 1], 4)}
 
 
 def test_sets_are_nested():
     for n in (2, 3, 4, 5):
-        prev = enumerate_N(-1, n).basis
+        prev = enumerate_N(-1, n).keys
         for i in range(0, 9):
-            cur = enumerate_N(i, n).basis
+            cur = enumerate_N(i, n).keys
             assert prev <= cur
             prev = cur
 
@@ -90,9 +97,9 @@ def test_level_sets_match_the_level_function():
     for n in range(2, 7):
         for j in range(0, 10):
             oracle = {
-                m
-                for m in candidate_monomials(n, j + n)
-                if m.lam != EMPTY and lev(j, m) == j
+                b
+                for b in candidate_keys(n, j + n)
+                if b[0] != EMPTY and lev(j, b, n) == j
             }
             assert _level_new_members(j, n) == oracle, (n, j)
 
@@ -103,16 +110,17 @@ def test_increments_partition_the_union():
     for n in range(2, 7):
         report = verify_growth(n, 12)
         for row in report.rows:
-            new = enumerate_N(row.i, n).basis - enumerate_N(row.i - 1, n).basis
+            new = [MonomialElement(1, lam, k, n)
+                   for lam, k in enumerate_N(row.i, n).keys - enumerate_N(row.i - 1, n).keys]
             ordered = sorted(new, key=lambda m: m.tdeg(), reverse=True)
             assert row.generators == [m.render() for m in ordered], (n, row.i)
             counts = {k: sum(m.layer == k for m in new) for k in range(1, n + 1)}
             assert (row.counts, row.total) == (counts, len(new)), (n, row.i)
-        union = [m.render() for m in enumerate_N(0, n).basis]
+        union = [render_key(b, n) for b in enumerate_N(0, n).keys]
         for row in report.rows[:8]:
             union += row.generators
         assert len(union) == len(set(union))
-        assert set(union) == {m.render() for m in enumerate_N(8, n).basis}
+        assert set(union) == {render_key(b, n) for b in enumerate_N(8, n).keys}
 
 
 def test_layer_counts_examples():
@@ -235,23 +243,23 @@ def test_report_serialization_shapes():
 
 def test_closure_of_commuting_generators_is_itself():
     t = enumerate_N(-1, 3)
-    closed = saturated_closure(t.basis, 6, n=3)
-    assert closed.basis == t.basis
+    closed = saturated_closure(t.keys, 6, n=3)
+    assert closed.keys == t.keys
     assert closed.discards == 0
 
 
 def test_closure_of_step0_set_is_fixed():
     n0 = enumerate_N(0, 3)
-    closed = saturated_closure(n0.basis, 6, n=3)
-    assert closed.basis == n0.basis
+    closed = saturated_closure(n0.keys, 6, n=3)
+    assert closed.keys == n0.keys
     assert closed.discards == 0
 
 
 def test_closure_gains_commutator():
     n = 2
-    gens = [mono([1], 2, n), mono([], 1, n)]
+    gens = [key([1], 2), key([], 1)]
     closed = saturated_closure(gens, 6, n=n)
-    assert closed.basis == {mono([1], 2, n), mono([], 1, n), mono([], 2, n)}
+    assert closed.keys == {key([1], 2), key([], 1), key([], 2)}
     assert closed.discards == 0
 
 
@@ -260,65 +268,71 @@ def test_generator_sets_are_commutator_closed():
     for n in (2, 3, 4):
         for i in range(-1, 5):
             base = enumerate_N(i, n)
-            bound = max(2 * (i + 3), *(m.wt for m in base.basis))
-            closed = saturated_closure(base.basis, bound, n=n)
-            assert closed.basis == base.basis
+            bound = max(2 * (i + 3), *(lam.weight for lam, _ in base.keys))
+            closed = saturated_closure(base.keys, bound, n=n)
+            assert closed.keys == base.keys
             assert closed.discards == 0
 
 
 def test_closure_rejects_bound_below_generators():
     with pytest.raises(ValueError):
-        saturated_closure([mono([1, 1], 3, 3)], 1, n=3)
+        saturated_closure([key([1, 1], 3)], 1, n=3)
 
 
 def test_closure_counts_discards():
     # a heavy pair whose higher expansion terms overflow the bound
     n = 3
-    gens = [mono([2, 2], 3, n), mono([1, 1, 1], 2, n)]
+    gens = [key([2, 2], 3), key([1, 1, 1], 2)]
     closed = saturated_closure(gens, 4, n=n)
     assert closed.discards > 0
 
 
 def test_normalizes_examples():
     n = 4
-    closure = saturated_closure(enumerate_N(0, n).basis, 6, n=n)
-    assert normalizes(mono([], n, n), closure) is True
-    assert normalizes(mono([1, 1], n, n), closure) is True
-    assert normalizes(mono([1, 1, 1], n, n), closure) is False
+    closure = saturated_closure(enumerate_N(0, n).keys, 6, n=n)
+    assert normalizes(key([], n), closure) is True
+    assert normalizes(key([1, 1], n), closure) is True
+    assert normalizes(key([1, 1, 1], n), closure) is False
 
 
 def test_normalizes_requires_closed_set():
     with pytest.raises(ValueError):
-        normalizes(mono([], 4, 4), enumerate_N(0, 4))
+        normalizes(key([], 4), enumerate_N(0, 4))
+
+
+def test_normalizes_refuses_a_key_of_a_larger_group():
+    closure = saturated_closure(enumerate_N(0, 4).keys, 6, n=4)
+    for b in (key([], 5), key([4], 5), key([4], 4)):
+        with pytest.raises(ValueError, match="below the layer"):
+            normalizes(b, closure)
 
 
 def test_normalizes_unknown_when_bound_hides_the_answer():
     n = 2
-    tiny = saturated_closure(enumerate_N(-1, n).basis, 0, n=n)
-    probe = mono([1] * 5, 2, n)  # all escaping constituents are over-bound
+    tiny = saturated_closure(enumerate_N(-1, n).keys, 0, n=n)
+    probe = key([1] * 5, 2)  # all escaping constituents are over-bound
     assert normalizes(probe, tiny) is None
-    roomy = saturated_closure(enumerate_N(-1, n).basis, 6, n=n)
+    roomy = saturated_closure(enumerate_N(-1, n).keys, 6, n=n)
     assert normalizes(probe, roomy) is False
 
 
 def test_normalizes_unknown_when_closure_was_lossy():
     n = 3
-    base = enumerate_N(0, n).basis
-    lossy = SaturatedSet(n=n, basis=base, closure_bound=6, discards=1)
-    probe = mono([1, 1, 1], 3, n)
+    base = enumerate_N(0, n).keys
+    lossy = SaturatedSet(n=n, keys=base, closure_bound=6, discards=1)
+    probe = key([1, 1, 1], 3)
     # an in-bound escape cannot be conclusive against an incomplete basis
     assert normalizes(probe, lossy) is None
-    complete = SaturatedSet(n=n, basis=base, closure_bound=6, discards=0)
+    complete = SaturatedSet(n=n, keys=base, closure_bound=6, discards=0)
     assert normalizes(probe, complete) is False
 
 
 def test_idealizes_examples():
     n = 4
-    closure = saturated_closure(enumerate_N(0, n).basis, 6, n=n)
-    keys = closure.lie_keys()
-    assert idealizes((EMPTY, n), keys) is True
-    assert idealizes((Partition.from_parts([1, 1]), n), keys) is True
-    assert idealizes((Partition.from_parts([1, 1, 1]), n), keys) is False
+    closure = saturated_closure(enumerate_N(0, n).keys, 6, n=n)
+    assert idealizes(key([], n), closure.keys) is True
+    assert idealizes(key([1, 1], n), closure.keys) is True
+    assert idealizes(key([1, 1, 1], n), closure.keys) is False
 
 
 def test_center_membership_examples():
@@ -336,12 +350,12 @@ def test_center_membership_examples():
 
 def contains_element(H, g):
     """Saturated membership: every constituent's monic part is in the basis."""
-    return g.n == H.n and all(m.monic_part() in H.basis for m in g.decompose())
+    return g.n == H.n and all(as_key(m) in H.keys for m in g.decompose())
 
 
 def test_membership_of_group_elements_in_saturated_set():
     n = 3
-    closure = saturated_closure(enumerate_N(0, n).basis, 6, n=n)
+    closure = saturated_closure(enumerate_N(0, n).keys, 6, n=n)
     g = GroupElement.delta(1, n) * GroupElement.monomial(2, Partition.from_parts([1]), 3, n)
     assert contains_element(closure, g)
     bad = GroupElement.monomial(1, Partition.from_parts([1, 1]), 3, n)
@@ -351,7 +365,7 @@ def test_membership_of_group_elements_in_saturated_set():
 def test_chain_step_small():
     step = check_chain_step(3, 1)
     assert step.ok
-    assert step.members_checked == len(enumerate_N(1, 3).basis)
+    assert step.members_checked == len(enumerate_N(1, 3))
     assert step.group_passes == step.lie_passes == step.members_checked
     assert step.closure_discards == 0
 
@@ -380,18 +394,19 @@ def test_comm_constituents_match_group_commutator():
 
 
 def test_candidate_monomials_cover_all_layers():
-    cands = list(candidate_monomials(3, 4))
-    assert mono([], 1, 3) in cands
-    assert mono([2, 2], 3, 3) in cands
+    cands = list(candidate_keys(3, 4))
+    assert key([], 1) in cands
+    assert key([2, 2], 3) in cands
     assert len(cands) == len(set(cands))
-    assert all(m.wt <= 4 for m in cands)
+    assert all(lam.weight <= 4 for lam, _ in cands)
 
 
 def test_saturated_set_validation():
-    with pytest.raises(ValueError):
-        SaturatedSet(n=3, basis=frozenset({MonomialElement(2, EMPTY, 1, 3)}))
-    with pytest.raises(ValueError):
-        SaturatedSet(n=3, basis=frozenset({MonomialElement(1, EMPTY, 1, 2)}))
+    # a key is monic by definition; it must obey the layer rule of the set's n
+    assert len(SaturatedSet(n=3, keys=frozenset({key([2], 3), key([], 1)}))) == 2
+    for bad in (key([], 4), key([], 0), key([3], 3), key([1], 1)):
+        with pytest.raises(ValueError, match="below the layer"):
+            SaturatedSet(n=3, keys=frozenset({key([], 1), bad}))
 
 
 # -- the closed-form key route against the polynomial route ------------------------
@@ -405,20 +420,21 @@ def test_constituent_keys_match_the_poly_route():
         a = random_monomial(rng, n, max_wt=6)
         b = random_monomial(rng, n, max_wt=6)
         same = random_monomial(rng, n, max_wt=6, layer=a.layer)
-        assert list(constituent_keys(a.lie_key(), same.lie_key())) == []
+        assert list(constituent_keys(as_key(a), as_key(same))) == []
         assert comm_constituents(a, same) == []
         for x, y in ((a, b), (b, a)):
-            keys = constituent_keys(x.lie_key(), y.lie_key())
-            oracle = [m.monic_part().lie_key() for m in comm_constituents(x, y)]
+            keys = constituent_keys(as_key(x), as_key(y))
+            oracle = [as_key(m) for m in comm_constituents(x, y)]
             assert sorted(keys, key=repr) == sorted(oracle, key=repr)
         low, high = sorted((a, b), key=lambda m: m.layer)
         multiple += low.layer < high.layer and high.lam.multiplicity(low.layer) >= 2
     assert multiple >= 20  # the s >= 2 terms of the difference expansion
 
 
-def reference_closure(gens, wt_bound):
-    """``saturated_closure`` by monomials and ``comm_constituents``."""
-    members = {m.monic_part() for m in gens}
+def reference_closure(gens, wt_bound, n):
+    """``saturated_closure`` by monomials and ``comm_constituents``; the keys
+    ``gens`` go in and the keys of the closure come out."""
+    members = {MonomialElement(1, lam, k, n) for lam, k in gens}
     discarded = set()
     frontier = set(members)
     while frontier:
@@ -426,22 +442,23 @@ def reference_closure(gens, wt_bound):
         for a in frontier:
             for b in members:
                 for part in comm_constituents(a, b):
-                    monic = part.monic_part()
+                    monic = MonomialElement(1, part.lam, part.layer, n)
                     if monic not in members and monic not in new:
-                        (discarded if monic.wt > wt_bound else new).add(monic)
+                        (discarded if monic.lam.weight > wt_bound else new).add(monic)
         members |= new
         frontier = new
-    return members, len(discarded)
+    return {as_key(m) for m in members}, len(discarded)
 
 
 def reference_normalizes(b, H):
-    """``normalizes`` by monomials and ``comm_constituents``."""
+    """``normalizes`` of the key ``b`` by monomials and ``comm_constituents``."""
     verdict = True
-    for m in H.basis:
-        for part in comm_constituents(b, m):
-            if part.monic_part() in H.basis:
+    b = MonomialElement(1, *b, H.n)
+    for lam, k in H.keys:
+        for part in comm_constituents(b, MonomialElement(1, lam, k, H.n)):
+            if as_key(part) in H.keys:
                 continue
-            if part.wt > H.closure_bound or H.discards > 0:
+            if part.lam.weight > H.closure_bound or H.discards > 0:
                 verdict = None
             else:
                 return False
@@ -452,25 +469,25 @@ def reference_normalizes(b, H):
 def test_verdicts_match_the_poly_route(n):
     for i in range(1, 5):
         bound = 2 * (i + 2)  # check_chain_step's default
-        gens = enumerate_N(i - 1, n).basis
+        gens = enumerate_N(i - 1, n).keys
         closure = saturated_closure(gens, bound, n=n)
-        assert (closure.basis, closure.discards) == reference_closure(gens, bound)
-        for b in candidate_monomials(n, bound):
+        assert (closure.keys, closure.discards) == reference_closure(gens, bound, n)
+        for b in candidate_keys(n, bound):
             assert normalizes(b, closure) == reference_normalizes(b, closure), b
 
 
 def test_lossy_and_bounded_closures_match_the_poly_route():
     cases = [
-        ([mono([2, 2], 3, 3), mono([1, 1, 1], 2, 3)], 4, 3),
-        (enumerate_N(-1, 2).basis, 0, 2),
-        (enumerate_N(-1, 2).basis, 6, 2),
-        (enumerate_N(0, 3).basis, 6, 3),
+        ([key([2, 2], 3), key([1, 1, 1], 2)], 4, 3),
+        (enumerate_N(-1, 2).keys, 0, 2),
+        (enumerate_N(-1, 2).keys, 6, 2),
+        (enumerate_N(0, 3).keys, 6, 3),
     ]
     for gens, bound, n in cases:
         closure = saturated_closure(gens, bound, n=n)
-        assert (closure.basis, closure.discards) == reference_closure(gens, bound)
-        for b in candidate_monomials(n, 6):
+        assert (closure.keys, closure.discards) == reference_closure(gens, bound, n)
+        for b in candidate_keys(n, 6):
             assert normalizes(b, closure) == reference_normalizes(b, closure), b
-    lossy = SaturatedSet(n=3, basis=enumerate_N(0, 3).basis, closure_bound=6, discards=1)
-    for b in candidate_monomials(3, 6):
+    lossy = SaturatedSet(n=3, keys=enumerate_N(0, 3).keys, closure_bound=6, discards=1)
+    for b in candidate_keys(3, 6):
         assert normalizes(b, lossy) == reference_normalizes(b, lossy), b

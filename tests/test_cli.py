@@ -169,6 +169,9 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     "calc [x1^2]D2*[x2^2]D3*[x3^2]D4*[x4^2]D5*[x5^2]D6*[x6^2]D7*[x7^2]D8*[x8^2]D9 --n 10",
     "verify --suite chain --n 64 --imax 1",
+    # group products charge one unit per layer, and the orbit grid its act calls
+    "verify --suite regular --n 16",
+    "verify --suite centers --n 64",
 ])
 def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
@@ -176,8 +179,8 @@ def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, units", [
-    ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 940),
-    ("verify --suite chain --n 5 --imax 8", 46_723),
+    ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 946),
+    ("verify --suite chain --n 5 --imax 8", 46_605),
 ])
 def test_commands_charge_pinned_units(capsys, monkeypatch, argv, units):
     monkeypatch.setattr(budget, "LIMIT", units)
@@ -195,7 +198,7 @@ def test_library_callers_run_without_a_budget(monkeypatch):
 def test_wt_bound_floor_is_the_heaviest_generator_before_step_imax():
     for n in range(2, 9):
         for j in range(0, 21):
-            floor = max(m.wt for m in enumerate_N(j, n).basis)
+            floor = max(lam.weight for lam, _ in enumerate_N(j, n).keys)
             options = {"n": n, "imax": j + 1}
             assert _verify_config_error("chain", {**options, "wt_bound": floor}) is None
             assert _verify_config_error("chain", {**options, "wt_bound": floor - 1}) == (

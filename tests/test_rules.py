@@ -1,4 +1,5 @@
-"""The rules every value class shares: the one layer check and immutability."""
+"""The rules every value class shares: the one layer check, the one check of
+other integer arguments, and immutability."""
 
 import pytest
 
@@ -56,6 +57,25 @@ def test_every_entry_point_applies_the_one_layer_rule(entry, case):
 def test_a_huge_variable_index_is_refused_before_parsing():
     with pytest.raises(ValueError):
         parse_element("[x99999999999999999999]D2", 2)
+
+
+# entry point -> call with a value where an int index, n or exponent belongs
+INDEX_ENTRIES = {
+    "Poly.variable": lambda v: Poly.variable(v),
+    "Poly.partial_derivative": lambda v: Poly.variable(1).partial_derivative(v),
+    "Poly.__pow__": lambda v: Poly.variable(1) ** v,
+    "GroupElement.identity": lambda v: GroupElement.identity(v),
+    "GroupElement.delta": lambda v: GroupElement.delta(v, 2),
+    "GroupElement.__pow__": lambda v: GroupElement.delta(1, 2) ** v,
+    "Partition.multiplicity": lambda v: Partition.from_parts([1]).multiplicity(v),
+}
+
+
+@pytest.mark.parametrize("entry", INDEX_ENTRIES)
+@pytest.mark.parametrize("value", [1.5, 1.0, "2"])
+def test_every_entry_point_refuses_a_non_integer_index(entry, value):
+    with pytest.raises(ValueError):
+        INDEX_ENTRIES[entry](value)
 
 
 VALUES = {
