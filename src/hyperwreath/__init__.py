@@ -31,6 +31,7 @@ from .chains import (
     center_membership,
     check_chain_step,
     enumerate_N,
+    growth_counts,
     h_func,
     idealizes,
     lev,
@@ -78,6 +79,7 @@ __all__ = [
     "wdd",
     "lev",
     "enumerate_N",
+    "growth_counts",
     "verify_growth",
     "saturated_closure",
     "normalizes",

@@ -1,6 +1,7 @@
 """One work budget for the command line.
 
-The heavy loops charge deterministic units before they run: a term-dict
+The heavy loops charge deterministic units before they run: a growth table
+the generators of all its steps, counted before any is enumerated, a term-dict
 product its pair count, a group product or inverse one unit per layer, a
 commutator the keys it yields, a candidate sweep its candidates and an orbit
 grid its act calls.  An idealizer test charges the brackets it took right after,

@@ -15,12 +15,12 @@ import io
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
+from functools import cached_property, lru_cache
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .budget import charge
 from .liering import LieKey, bracket_keys
-from .ordinals import OrdinalCNF, tdeg_of_monomial
+from .ordinals import OrdinalCNF
 from .partitions import EMPTY, Partition, check_layer, enumerate_partitions, seq_at, sequences_abc
 from .polyring import Poly
 from .wreath import GroupElement, MonomialElement, comm_formula
@@ -125,35 +125,45 @@ class SaturatedSet:
 # -- generator enumeration -----------------------------------------------------
 
 
-def _level_new_members(j: int, n: int) -> Set[LieKey]:
-    """Keys of the monic monomials with a nonempty partition satisfying lev_j = j.
+def _increment_shapes(j: int, n: int) -> Iterator[Tuple[int, int, int]]:
+    """The triples (D, d, k) of the keys that join the chain at step j >= 1:
+    defect D = wdd, degree d and layer k.
 
-    For j = 0 the level function degenerates to deg - 1, which selects
-    exactly the single-variable linear monomials.  For j >= 1 the step height
-    is positive, so the defect is forced and the partitions are enumerable.
+    A key has lev_j = j exactly when D = (j + 1 - d) / h_j.  Its level is j
+    at every step of the same height, and j - tD at every step t heights
+    lower, so it hit the earlier step j - tD exactly when that step lies t
+    heights lower.  For t = 1 that is D >= r_j; for t >= 2 it needs
+    tD >= r_j + (t - 1)(n - 1), which fails when D < r_j <= n - 1.  So the
+    new keys are those with d >= 2 (step 0 took degree 1) and D < r_j; for
+    h_j = 1 the second bound is the first again.  The layers are those with
+    weight D + d - (n - k) >= d.
     """
-    if j == 0:
-        return {(Partition.from_parts([v]), k) for k in range(2, n + 1) for v in range(1, k)}
-    out: Set[LieKey] = set()
     h = h_func(j, n)
-    for d in range(1, j + 2):
-        if (j - d + 1) % h != 0:
-            continue
-        w = (j - d + 1) // h
-        if w < 0:
-            continue
-        for k in range(1, n + 1):
-            wt = w + d - (n - k)
-            if wt < d:
-                continue
-            for lam in enumerate_partitions(wt, num_parts=d, max_part=k - 1):
-                out.add((lam, k))
+    for defect in range(r_func(j, n)):
+        d = j + 1 - h * defect
+        if d < 2:
+            return
+        for k in range(n - defect, n + 1):
+            yield defect, d, k
+
+
+def _new_keys(j: int, n: int) -> List[LieKey]:
+    """Keys of the monic monomials that join the chain at step j: at step 0
+    the single-variable linear monomials, later the partitions of each
+    ``_increment_shapes`` triple into d parts below k."""
+    if j == 0:
+        return [(Partition.from_parts([v]), k) for k in range(2, n + 1) for v in range(1, k)]
+    out: List[LieKey] = []
+    for defect, d, k in _increment_shapes(j, n):
+        wt = defect + d - (n - k)
+        out.extend((lam, k) for lam in enumerate_partitions(wt, num_parts=d, max_part=k - 1))
     return out
 
 
 def enumerate_N(i: int, n: int) -> SaturatedSet:
-    """The generator set at step i: the translation generators plus every
-    monomial whose level function hits its own index at some step <= i.
+    """The generator set at step i: the translation generators plus the new
+    keys of every step 0..i, i.e. every monomial whose level function hits
+    its own index at some step <= i.
 
     The step -1 set is the translation subgroup's generators by convention,
     which keeps the chain anchored uniformly (at n = 2 the level rule alone
@@ -163,8 +173,44 @@ def enumerate_N(i: int, n: int) -> SaturatedSet:
         raise ValueError("i must be >= -1")
     members: Set[LieKey] = {(EMPTY, k) for k in range(1, n + 1)}
     for j in range(0, i + 1):
-        members |= _level_new_members(j, n)
+        members.update(_new_keys(j, n))
     return SaturatedSet(n=n, keys=frozenset(members))
+
+
+@lru_cache(maxsize=None)
+def _boxed(m: int, d: int, b: int) -> int:
+    """Partitions of m >= 0 into at most d parts, each at most b, with d and
+    b already clipped to m: those without a part b, plus those with one."""
+    if m == 0:
+        return 1
+    if m > d * b:
+        return 0
+    rest = m - b
+    return _boxed(m, d, b - 1) + _boxed(rest, min(d - 1, rest), min(b, rest))
+
+
+def growth_counts(n: int, i: int) -> Dict[int, int]:
+    """The number of keys step i >= 1 adds in each layer, counted without
+    enumerating them.
+
+    Taking one from each of the d parts of a new key in layer k leaves a
+    partition of m = D - n + k into at most d parts, each at most k - 2; the
+    count sums these over the ``_increment_shapes`` of step i.  As
+    D < r_i <= n - 1, m is at most k - 2, so the part bound is m itself.
+    """
+    counts = {k: 0 for k in range(1, n + 1)}
+    for defect, d, k in _increment_shapes(i, n):
+        m = defect - n + k
+        counts[k] += _boxed(m, min(d, m), m)
+    return counts
+
+
+def _tdeg_order(key: LieKey):
+    """A sort key ordering monic monomials as ``tdeg_of_monomial`` does: the
+    lower layer first (it has more leading omega powers), then the higher top
+    part, then the multiplicities from the top part down."""
+    lam, k = key
+    return -k, len(lam.mults), lam.mults[::-1]
 
 
 # -- growth report ---------------------------------------------------------------
@@ -260,21 +306,20 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
     """Compare enumerated increment counts against the partition-sum law.
 
     Every step from 1 to i_max gets a row; rows at or below the stability
-    threshold are reported but left unflagged.
+    threshold are reported but left unflagged.  The generators of every step
+    are counted and charged, one unit each, before any step is enumerated.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
+    for i in range(1, i_max + 1):
+        charge(sum(growth_counts(n, i).values()))
     _, b, c = sequences_abc(i_max + n + 2)
     threshold = growth_threshold(n)
     report = ChainReport(n=n, i_max=i_max, threshold=threshold)
-    members = set(enumerate_N(0, n).keys)
     for i in range(1, i_max + 1):
-        # a level set repeats some earlier members, so the increment is its rest
-        new = sorted(_level_new_members(i, n) - members,
-                     key=lambda key: tdeg_of_monomial(*key, n), reverse=True)
-        members.update(new)
+        new = sorted(_new_keys(i, n), key=_tdeg_order, reverse=True)
         counts = {k: 0 for k in range(1, n + 1)}
         for _, k in new:
             counts[k] += 1
@@ -332,14 +377,15 @@ def constituent_keys(a: LieKey, b: LieKey) -> Iterator[LieKey]:
     polynomial route to the same keys.
 
     The keys come one at a time, so a caller that has its answer stops; all m
-    are charged when the first is taken.
+    are charged when the first is taken.  Both keys are taken as checked
+    against the layer rule, so the multiplicity read skips the index check.
     """
     (lam, k), (theta, u) = a, b
     if k == u:
         return
     if k < u:
         (lam, k), (theta, u) = b, a
-    m = lam.multiplicity(u)
+    m = lam._multiplicity(u)
     charge(m)
     for _ in range(m):
         lam = lam.replace_part(u, theta)
@@ -497,7 +543,7 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
         # from n = 8 on, the first generators are heavier than 2 * (i + 2)
         wt_bound = max(2 * (i + 2), max((lam.weight for lam, _ in prev.keys), default=0))
     closure = saturated_closure(prev.keys, wt_bound, n=n)
-    target = prev.keys | _level_new_members(i, n)
+    target = prev.keys.union(_new_keys(i, n))
     step = ChainStepCheck(
         n=n,
         i=i,

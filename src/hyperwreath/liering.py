@@ -109,17 +109,19 @@ def bracket_keys(a: LieKey, b: LieKey) -> Tuple[int, LieKey]:
 
     [x^lam d_k, x^theta d_j] is the derivative of one side applied to the
     other: d_j(x^lam) x^theta d_k when j < k, the mirrored expression with a
-    minus sign when j > k, and zero on equal layers.
+    minus sign when j > k, and zero on equal layers.  The keys are taken as
+    valid, as ``LieElement`` terms and checked chain keys are, so the
+    multiplicity read skips the index check.
     """
     (lam, k), (theta, j) = a, b
     if j == k:
         return 0, a
     if j < k:
-        mult = lam.multiplicity(j)
+        mult = lam._multiplicity(j)
         if mult == 0:
             return 0, a
         return mult, (lam.replace_part(j, theta), k)
-    mult = theta.multiplicity(k)
+    mult = theta._multiplicity(k)
     if mult == 0:
         return 0, a
     return -mult, (theta.replace_part(k, lam), j)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Tuple
 
-from .partitions import Frozen, Partition, check_layer
+from .partitions import Frozen, Partition, check_index, check_layer
 
 
 class OrdinalCNF(Frozen):
@@ -23,9 +23,11 @@ class OrdinalCNF(Frozen):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[Tuple[int, int]] = ()):
-        terms = tuple((int(e), int(c)) for e, c in terms if c != 0)
-        if any(c < 0 or e < 0 for e, c in terms):
-            raise ValueError("exponents and coefficients must be non-negative")
+        terms = tuple(terms)
+        for e, c in terms:
+            check_index(e, 0, "an ordinal exponent")
+            check_index(c, 0, "an ordinal coefficient")
+        terms = tuple((e, c) for e, c in terms if c)
         if any(terms[i][0] <= terms[i + 1][0] for i in range(len(terms) - 1)):
             raise ValueError("exponents must be strictly descending")
         object.__setattr__(self, "terms", terms)

@@ -102,7 +102,13 @@ class Partition(Frozen):
     def multiplicity(self, i: int) -> int:
         """Multiplicity of the part ``i`` (1-indexed)."""
         check_index(i, 1, "part index")
-        return self.mults[i - 1] if i <= len(self.mults) else 0
+        return self._multiplicity(i)
+
+    def _multiplicity(self, i: int) -> int:
+        """``multiplicity`` for a part index known to be an int >= 1, such as
+        the layer of a checked key."""
+        m = self.mults
+        return m[i - 1] if i <= len(m) else 0
 
     # -- multiset arithmetic ---------------------------------------------
 

@@ -9,13 +9,15 @@ import pytest
 
 from hyperwreath.chains import (
     SaturatedSet,
-    _level_new_members,
+    _new_keys,
+    _tdeg_order,
     candidate_keys,
     center_membership,
     check_chain_step,
     comm_constituents,
     constituent_keys,
     enumerate_N,
+    growth_counts,
     growth_threshold,
     h_func,
     idealizes,
@@ -27,8 +29,8 @@ from hyperwreath.chains import (
     verify_growth,
     wdd,
 )
-from hyperwreath.ordinals import ONE, OrdinalCNF
-from hyperwreath.partitions import EMPTY, Partition, sequences_abc
+from hyperwreath.ordinals import ONE, OrdinalCNF, tdeg_of_monomial
+from hyperwreath.partitions import EMPTY, Partition, enumerate_partitions, sequences_abc
 from hyperwreath.verify import random_monomial
 from hyperwreath.wreath import GroupElement, MonomialElement
 
@@ -91,6 +93,32 @@ def test_sets_are_nested():
             prev = cur
 
 
+def level_set(j, n):
+    """Keys of the monic monomials with a nonempty partition satisfying
+    lev_j = j: at j = 0 the single-variable linear monomials, and at j >= 1
+    the partitions of each degree d whose defect (j - d + 1) / h_j is an
+    integer.  The oracle of the increment route, which enumerates only the
+    keys no earlier step reached."""
+    if j == 0:
+        return {(Partition.from_parts([v]), k) for k in range(2, n + 1) for v in range(1, k)}
+    out = set()
+    h = h_func(j, n)
+    for d in range(1, j + 2):
+        if (j - d + 1) % h != 0:
+            continue
+        w = (j - d + 1) // h
+        for k in range(1, n + 1):
+            wt = w + d - (n - k)
+            if wt >= d:
+                out.update((lam, k) for lam in enumerate_partitions(wt, num_parts=d, max_part=k - 1))
+    return out
+
+
+def oracle_steps(n):
+    """Steps up to three times the growth threshold, at least 12 and at most 200."""
+    return max(12, min(3 * growth_threshold(n), 200))
+
+
 def test_level_sets_match_the_level_function():
     # lev_j(m) = j forces deg 1 at j = 0 and weight <= j + 1 at j >= 1, so the
     # bound j + n leaves no level member out
@@ -101,11 +129,40 @@ def test_level_sets_match_the_level_function():
                 for b in candidate_keys(n, j + n)
                 if b[0] != EMPTY and lev(j, b, n) == j
             }
-            assert _level_new_members(j, n) == oracle, (n, j)
+            assert level_set(j, n) == oracle, (n, j)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_increments_are_the_level_sets_less_earlier_members(n):
+    members = level_set(0, n)
+    assert set(_new_keys(0, n)) == members
+    for i in range(1, oracle_steps(n) + 1):
+        new = _new_keys(i, n)
+        assert len(new) == len(set(new))
+        assert set(new) == level_set(i, n) - members, (n, i)
+        members.update(new)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_growth_counts_match_the_enumerated_increments(n):
+    for i in range(1, oracle_steps(n) + 1):
+        counts = {k: 0 for k in range(1, n + 1)}
+        for _, k in _new_keys(i, n):
+            counts[k] += 1
+        assert growth_counts(n, i) == counts, (n, i)
+
+
+def test_sort_key_orders_as_tdeg():
+    for n in range(2, 9):
+        keys = list(candidate_keys(n, 8))
+        by_tdeg = sorted(keys, key=lambda b: tdeg_of_monomial(*b, n))
+        assert sorted(keys, key=_tdeg_order) == by_tdeg, n
+        # no two keys share a transfinite degree, so the orders are total
+        assert len({_tdeg_order(b) for b in keys}) == len(keys)
 
 
 def test_increments_partition_the_union():
-    # verify_growth takes each increment from a level set; the oracle rebuilds
+    # verify_growth enumerates each increment alone; the oracle rebuilds
     # N_i and N_(i-1) from step 0 and takes their difference
     for n in range(2, 7):
         report = verify_growth(n, 12)

@@ -172,6 +172,8 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv):
     # group products charge one unit per layer, and the orbit grid its act calls
     "verify --suite regular --n 16",
     "verify --suite centers --n 64",
+    # chain counts every step's generators before it enumerates one
+    "chain --n 64 --imax 1000",
 ])
 def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
@@ -180,13 +182,21 @@ def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
 
 @pytest.mark.parametrize("argv, units", [
     ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 946),
-    ("verify --suite chain --n 5 --imax 8", 46_605),
+    ("verify --suite chain --n 5 --imax 8", 46_723),
+    ("chain --n 8 --imax 60 --format json", 1352),
 ])
 def test_commands_charge_pinned_units(capsys, monkeypatch, argv, units):
     monkeypatch.setattr(budget, "LIMIT", units)
     assert run_cli(capsys, *argv.split())[0] == 0
     monkeypatch.setattr(budget, "LIMIT", units - 1)
     assert run_cli(capsys, *argv.split()) == (2, "", refusal_line(units - 1))
+
+
+def test_a_refused_chain_creates_no_out_file(tmp_path, capsys):
+    out = tmp_path / "chain.json"
+    code, stdout, err = run_cli(capsys, "chain", "--n", "64", "--imax", "1000", "--out", str(out))
+    assert (code, stdout, err) == (2, "", refusal_line(budget.LIMIT))
+    assert not out.exists()
 
 
 def test_library_callers_run_without_a_budget(monkeypatch):

@@ -124,6 +124,15 @@ def test_no_zero_coefficients_stored():
     assert OrdinalCNF(((3, 0), (1, 2))).terms == ((1, 2),)
 
 
+@pytest.mark.parametrize("terms", [((1.5, 1),), ((2, 0.9),), ((True, "3"),), ((1, -1),),
+                                   ((-1, 0),)])
+def test_terms_are_ints_not_coerced(terms):
+    # int() once read 1.5 as 1, kept 0.9 past the zero filter as w^2*0 and
+    # read (True, '3') as w*3
+    with pytest.raises(ValueError):
+        OrdinalCNF(terms)
+
+
 def test_render_examples():
     assert ZERO.render() == "0"
     assert OrdinalCNF(((3, 1), (1, 2), (0, 5))).render() == "w^3 + w*2 + 5"

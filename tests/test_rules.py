@@ -68,6 +68,8 @@ INDEX_ENTRIES = {
     "GroupElement.delta": lambda v: GroupElement.delta(v, 2),
     "GroupElement.__pow__": lambda v: GroupElement.delta(1, 2) ** v,
     "Partition.multiplicity": lambda v: Partition.from_parts([1]).multiplicity(v),
+    "OrdinalCNF exponent": lambda v: OrdinalCNF(((v, 1),)),
+    "OrdinalCNF coefficient": lambda v: OrdinalCNF(((1, v),)),
 }
 
 
