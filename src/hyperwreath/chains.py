@@ -22,7 +22,7 @@ from .budget import charge
 from .liering import LieKey, bracket_keys
 from .ordinals import OrdinalCNF
 from .partitions import EMPTY, Partition, check_layer, enumerate_partitions, seq_at, sequences_abc
-from .polyring import Poly
+from .polyring import Poly, monomial_text
 from .wreath import GroupElement, MonomialElement, comm_formula
 
 
@@ -56,10 +56,10 @@ def lev(i: int, key: LieKey, n: int) -> int:
     return h_func(i, n) * wdd(key, n) + key[0].degree - 1
 
 
-def render_key(key: LieKey, n: int) -> str:
+def render_key(key: LieKey) -> str:
     """The element text of the monic monomial ``key``, e.g. ``[x1^2]D3``."""
     lam, k = key
-    return MonomialElement(1, lam, k, n).render()
+    return f"[{monomial_text(1, lam.mults)}]D{k}"
 
 
 # -- saturated sets ----------------------------------------------------------
@@ -150,13 +150,23 @@ def _increment_shapes(j: int, n: int) -> Iterator[Tuple[int, int, int]]:
 def _new_keys(j: int, n: int) -> List[LieKey]:
     """Keys of the monic monomials that join the chain at step j: at step 0
     the single-variable linear monomials, later the partitions of each
-    ``_increment_shapes`` triple into d parts below k."""
+    ``_increment_shapes`` triple into d parts below k.
+
+    They are built as ``growth_counts`` counts them: a partition mu of
+    m = D - n + k with l <= d parts gives, by adding one to each of d parts,
+    the key with multiplicities ``(d - l,) + mu.mults``.  As m <= k - 2, every
+    part stays below k.  The partitions of each m are listed once per call.
+    """
     if j == 0:
         return [(Partition.from_parts([v]), k) for k in range(2, n + 1) for v in range(1, k)]
     out: List[LieKey] = []
+    remainders: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
     for defect, d, k in _increment_shapes(j, n):
-        wt = defect + d - (n - k)
-        out.extend((lam, k) for lam in enumerate_partitions(wt, num_parts=d, max_part=k - 1))
+        m = defect - n + k
+        table = remainders.get(m)
+        if table is None:
+            table = remainders[m] = [(mu.degree, mu.mults) for mu in enumerate_partitions(m)]
+        out.extend((Partition._of((d - parts,) + mults), k) for parts, mults in table if parts <= d)
     return out
 
 
@@ -336,7 +346,7 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
                 i=i,
                 r=r,
                 h=h_func(i, n),
-                generators=[render_key(key, n) for key in new],
+                generators=[render_key(key) for key in new],
                 counts=counts,
                 predicted=predicted,
                 total=len(new),
@@ -560,7 +570,7 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
     for key in candidate_keys(n, wt_bound):
         verdict = normalizes(key, closure)
         if verdict is None:
-            step.unknowns.append(render_key(key, n))
+            step.unknowns.append(render_key(key))
             continue
         if verdict:
             step.group_passes += 1
@@ -568,13 +578,13 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
         if lie_verdict:
             step.lie_passes += 1
         if lie_verdict != verdict:
-            step.mirror_disagreements.append(render_key(key, n))
+            step.mirror_disagreements.append(render_key(key))
         if key in target:
             step.members_checked += 1
             if not verdict:
-                step.member_failures.append(render_key(key, n))
+                step.member_failures.append(render_key(key))
         else:
             step.outsiders_checked += 1
             if verdict:
-                step.outsider_passes.append(render_key(key, n))
+                step.outsider_passes.append(render_key(key))
     return step

@@ -36,7 +36,7 @@ _MAX_CALC_EXPONENT = 256
 _MAX_N = 64
 
 # Largest --imax of every command: the growth table's increments and partition
-# tables grow with the step, and chain --n 8 at this cap takes about 0.6 s.
+# tables grow with the step, and chain --n 8 at this cap takes about 0.35 s.
 _MAX_IMAX = 1000
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from hyperwreath.chains import (
     SaturatedSet,
+    _increment_shapes,
     _new_keys,
     _tdeg_order,
     candidate_keys,
@@ -144,7 +145,26 @@ def test_increments_are_the_level_sets_less_earlier_members(n):
 
 
 @pytest.mark.parametrize("n", range(2, 14))
+def test_increments_match_the_direct_partition_route(n):
+    # the route _new_keys replaced: the partitions of each shape's weight
+    # into exactly d parts below the layer, with no shift by 1^d
+    for i in range(1, oracle_steps(n) + 1):
+        by_shape = {}
+        for b in _new_keys(i, n):
+            by_shape.setdefault((wdd(b, n), b[0].degree, b[1]), []).append(b)
+        for defect, d, k in _increment_shapes(i, n):
+            direct = enumerate_partitions(defect + d - (n - k), num_parts=d, max_part=k - 1)
+            shifted = by_shape.pop((defect, d, k), [])
+            assert len(shifted) == len(set(shifted)), (n, i, defect, d, k)
+            assert set(shifted) == {(lam, k) for lam in direct}, (n, i, defect, d, k)
+        assert not by_shape, (n, i)  # no key outside the step's shapes
+
+
+@pytest.mark.parametrize("n", range(2, 14))
 def test_growth_counts_match_the_enumerated_increments(n):
+    """``growth_counts`` and ``_new_keys`` read one bijection (lam <-> lam - 1^d),
+    so this checks only that they agree; the independent check of the keys is
+    ``test_increments_are_the_level_sets_less_earlier_members``."""
     for i in range(1, oracle_steps(n) + 1):
         counts = {k: 0 for k in range(1, n + 1)}
         for _, k in _new_keys(i, n):
@@ -173,11 +193,17 @@ def test_increments_partition_the_union():
             assert row.generators == [m.render() for m in ordered], (n, row.i)
             counts = {k: sum(m.layer == k for m in new) for k in range(1, n + 1)}
             assert (row.counts, row.total) == (counts, len(new)), (n, row.i)
-        union = [render_key(b, n) for b in enumerate_N(0, n).keys]
+        union = [render_key(b) for b in enumerate_N(0, n).keys]
         for row in report.rows[:8]:
             union += row.generators
         assert len(union) == len(set(union))
-        assert set(union) == {render_key(b, n) for b in enumerate_N(8, n).keys}
+        assert set(union) == {render_key(b) for b in enumerate_N(8, n).keys}
+
+
+def test_render_key_matches_the_monomial_element():
+    for n in range(2, 9):
+        for lam, k in candidate_keys(n, 8):
+            assert render_key((lam, k)) == MonomialElement(1, lam, k, n).render(), (lam, k)
 
 
 def test_layer_counts_examples():

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, formats, calculator grammar."""
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -82,6 +83,18 @@ def test_chain_writes_output_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["n"] == 3
+
+
+def test_large_chain_report_is_pinned(tmp_path, capsys):
+    # a scale the increment oracles in test_chains.py do not reach (n <= 13, i <= 200)
+    argv = ["chain", "--n", "16", "--imax", "300", "--format", "json"]
+    pinned = "a23b76dc6b61cde86747dfcb54dd5c11c62477336567ae3d3f3de71d81029538"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
+    target = tmp_path / "chain.json"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == pinned
 
 
 def test_verify_formulas_suite(capsys):
