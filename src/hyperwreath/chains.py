@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .budget import charge
@@ -147,27 +147,51 @@ def _increment_shapes(j: int, n: int) -> Iterator[Tuple[int, int, int]]:
             yield defect, d, k
 
 
+def _remainder_table(m: int) -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...], str]]:
+    """The partitions mu of m >= 0, each as its part count l, its
+    multiplicities, those reversed, and the text of the factors ``x2...`` it
+    contributes to a key ``(d - l,) + mu.mults``: part p of mu is variable
+    p + 1 of the key."""
+    table = []
+    for mu in enumerate_partitions(m):
+        mults = mu.mults
+        tail = "*".join(
+            f"x{p}" if v == 1 else f"x{p}^{v}" for p, v in enumerate(mults, 2) if v
+        )
+        table.append((mu.degree, mults, mults[::-1], tail))
+    return table
+
+
+def _increment(j: int, n: int, tables: Dict[int, list]) -> Iterator[Tuple[int, int, list]]:
+    """``(d, k, table)`` for each ``_increment_shapes`` triple of step j >= 1,
+    with the ``_remainder_table`` of its m = D - n + k, built once per
+    ``tables`` dict the caller owns.
+
+    A partition mu of m with l <= d parts gives, by adding one to each of d
+    parts, the key with multiplicities ``(d - l,) + mu.mults``, as
+    ``growth_counts`` counts them.  As m <= k - 2, every part stays below k.
+    """
+    for defect, d, k in _increment_shapes(j, n):
+        m = defect - n + k
+        table = tables.get(m)
+        if table is None:
+            table = tables[m] = _remainder_table(m)
+        yield d, k, table
+
+
 def _new_keys(j: int, n: int) -> List[LieKey]:
     """Keys of the monic monomials that join the chain at step j: at step 0
     the single-variable linear monomials, later the partitions of each
-    ``_increment_shapes`` triple into d parts below k.
-
-    They are built as ``growth_counts`` counts them: a partition mu of
-    m = D - n + k with l <= d parts gives, by adding one to each of d parts,
-    the key with multiplicities ``(d - l,) + mu.mults``.  As m <= k - 2, every
-    part stays below k.  The partitions of each m are listed once per call.
+    ``_increment_shapes`` triple into d parts below k, read off ``_increment``.
     """
     if j == 0:
         return [(Partition.from_parts([v]), k) for k in range(2, n + 1) for v in range(1, k)]
-    out: List[LieKey] = []
-    remainders: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-    for defect, d, k in _increment_shapes(j, n):
-        m = defect - n + k
-        table = remainders.get(m)
-        if table is None:
-            table = remainders[m] = [(mu.degree, mu.mults) for mu in enumerate_partitions(m)]
-        out.extend((Partition._of((d - parts,) + mults), k) for parts, mults in table if parts <= d)
-    return out
+    return [
+        (Partition._of((d - parts,) + mults), k)
+        for d, k, table in _increment(j, n, {})
+        for parts, mults, _, _ in table
+        if parts <= d
+    ]
 
 
 def enumerate_N(i: int, n: int) -> SaturatedSet:
@@ -215,15 +239,49 @@ def growth_counts(n: int, i: int) -> Dict[int, int]:
     return counts
 
 
-def _tdeg_order(key: LieKey):
-    """A sort key ordering monic monomials as ``tdeg_of_monomial`` does: the
-    lower layer first (it has more leading omega powers), then the higher top
-    part, then the multiplicities from the top part down."""
-    lam, k = key
-    return -k, len(lam.mults), lam.mults[::-1]
-
-
 # -- growth report ---------------------------------------------------------------
+
+
+def _json_indented(value, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` of dicts, lists, strings, ints, bools
+    and None, for a value on the line that ``newline`` (a newline and that
+    line's indent) starts; dict keys that are not strings are written as
+    ``json.dumps`` writes them, e.g. ``1`` as ``"1"``.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever it indents;
+    this writes the same layout with joins and escapes strings with the C
+    ``encode_basestring_ascii``, the one ``json.dumps`` uses by default.
+    """
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, (dict, list)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = newline + "  "
+        if isinstance(value, dict):
+            # string and int keys and int values, most of a report, are written inline
+            items = [
+                f"{encode_basestring_ascii(k if type(k) is str else _json_indented(k, inner))}: "
+                f"{repr(v) if type(v) is int else _json_indented(v, inner)}"
+                for k, v in value.items()
+            ]
+            opening, closing = "{", "}"
+        else:
+            items = [
+                encode_basestring_ascii(v) if type(v) is str else _json_indented(v, inner)
+                for v in value
+            ]
+            opening, closing = "[", "]"
+        return opening + inner + ("," + inner).join(items) + newline + closing
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 @dataclass
@@ -253,7 +311,8 @@ class ChainReport:
         return all(row.match for row in self.rows if row.match is not None)
 
     def to_json(self) -> str:
-        return json.dumps(
+        """The report as ``json.dumps(..., indent=2)`` writes it, byte for byte."""
+        return _json_indented(
             {
                 "n": self.n,
                 "i_max": self.i_max,
@@ -261,7 +320,7 @@ class ChainReport:
                 "all_match": self.all_match,
                 "rows": [vars(r) for r in self.rows],
             },
-            indent=2,
+            "\n",
         )
 
     def to_csv(self) -> str:
@@ -318,6 +377,13 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
     Every step from 1 to i_max gets a row; rows at or below the stability
     threshold are reported but left unflagged.  The generators of every step
     are counted and charged, one unit each, before any step is enumerated.
+
+    Each generator ``(d - l,) + mu.mults`` in layer k is written straight from
+    its remainder table entry: its text is the ``x1^(d - l)`` head joined to
+    the entry's factors, and its sort key orders monic monomials as
+    ``tdeg_of_monomial`` does, the lower layer first (more leading omega
+    powers), then the higher top part, then the multiplicities from the top
+    part down.  No two keys of a step share a sort key.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -328,11 +394,20 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
     _, b, c = sequences_abc(i_max + n + 2)
     threshold = growth_threshold(n)
     report = ChainReport(n=n, i_max=i_max, threshold=threshold)
+    tables: Dict[int, list] = {}
     for i in range(1, i_max + 1):
-        new = sorted(_new_keys(i, n), key=_tdeg_order, reverse=True)
+        new: List[Tuple[tuple, str]] = []
         counts = {k: 0 for k in range(1, n + 1)}
-        for _, k in new:
-            counts[k] += 1
+        for d, k, table in _increment(i, n, tables):
+            for parts, _, rev, tail in table:
+                if parts > d:
+                    continue
+                ones = d - parts
+                head = "" if ones == 0 else "x1" if ones == 1 else f"x1^{ones}"
+                text = f"{head}*{tail}" if head and tail else head or tail
+                new.append(((-k, 1 + len(rev), rev + (ones,)), f"[{text}]D{k}"))
+                counts[k] += 1
+        new.sort(reverse=True)
         r = r_func(i, n)
         predicted = {k: seq_at(b, r + k - n - 1) for k in range(1, n + 1)}
         predicted_total = seq_at(c, r - 1)
@@ -346,7 +421,7 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
                 i=i,
                 r=r,
                 h=h_func(i, n),
-                generators=[render_key(key) for key in new],
+                generators=[text for _, text in new],
                 counts=counts,
                 predicted=predicted,
                 total=len(new),

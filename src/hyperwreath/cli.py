@@ -35,8 +35,8 @@ _MAX_CALC_EXPONENT = 256
 # and small enough that a layer tuple and the tables built from it stay cheap.
 _MAX_N = 64
 
-# Largest --imax of every command: the growth table's increments and partition
-# tables grow with the step, and chain --n 8 at this cap takes about 0.35 s.
+# Largest --imax of every command: the growth table's increments grow with the
+# step, and chain --n 8 at this cap takes about 0.18 s.
 _MAX_IMAX = 1000
 
 

@@ -10,8 +10,9 @@ import pytest
 from hyperwreath.chains import (
     SaturatedSet,
     _increment_shapes,
+    ChainReport,
+    ChainRow,
     _new_keys,
-    _tdeg_order,
     candidate_keys,
     center_membership,
     check_chain_step,
@@ -172,13 +173,31 @@ def test_growth_counts_match_the_enumerated_increments(n):
         assert growth_counts(n, i) == counts, (n, i)
 
 
+def tdeg_order(key):
+    """A sort key ordering monic monomials as ``tdeg_of_monomial`` does: the
+    lower layer first (it has more leading omega powers), then the higher top
+    part, then the multiplicities from the top part down."""
+    lam, k = key
+    return -k, len(lam.mults), lam.mults[::-1]
+
+
 def test_sort_key_orders_as_tdeg():
     for n in range(2, 9):
         keys = list(candidate_keys(n, 8))
         by_tdeg = sorted(keys, key=lambda b: tdeg_of_monomial(*b, n))
-        assert sorted(keys, key=_tdeg_order) == by_tdeg, n
+        assert sorted(keys, key=tdeg_order) == by_tdeg, n
         # no two keys share a transfinite degree, so the orders are total
-        assert len({_tdeg_order(b) for b in keys}) == len(keys)
+        assert len({tdeg_order(b) for b in keys}) == len(keys)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_generators_match_the_sorted_key_route(n):
+    # the route verify_growth replaced: a step's keys from _new_keys, sorted
+    # by the tuple key above and rendered one by one
+    report = verify_growth(n, oracle_steps(n))
+    for row in report.rows:
+        ordered = sorted(_new_keys(row.i, n), key=tdeg_order, reverse=True)
+        assert row.generators == [render_key(b) for b in ordered], (n, row.i)
 
 
 def test_increments_partition_the_union():
@@ -297,6 +316,44 @@ def test_growth_degenerate_two_layer_chain():
     assert report.all_match
     for row in report.rows:
         assert row.total == 1  # one new power each step
+
+
+def dumps_oracle(report):
+    """The JSON ``ChainReport.to_json`` wrote before it wrote the layout itself."""
+    return json.dumps(
+        {
+            "n": report.n,
+            "i_max": report.i_max,
+            "threshold": report.threshold,
+            "all_match": report.all_match,
+            "rows": [vars(r) for r in report.rows],
+        },
+        indent=2,
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_to_json_matches_json_dumps(n):
+    report = verify_growth(n, oracle_steps(n))
+    assert report.to_json() == dumps_oracle(report)
+
+
+def test_to_json_matches_json_dumps_on_hand_built_reports():
+    def row(i, generators, match, discards=0):
+        counts = {1: 0, 2: len(generators)}
+        return ChainRow(n=2, i=i, r=1, h=i, generators=generators, counts=counts,
+                        predicted=dict(counts), total=len(generators),
+                        predicted_total=len(generators), match=match, discards=discards)
+
+    escapes = ['[x1"]D2', "[x1\\]D2", "[x1\u00e9\u2211\U0001d400]D2", "tab\tnewline\n"]
+    rows = [row(1, [], None), row(2, ["[x1]D2"], True), row(3, escapes, False, discards=7)]
+    full = ChainReport(n=2, i_max=3, threshold=-2, rows=rows)
+    for report in (full,
+                   ChainReport(n=2, i_max=1, threshold=0),
+                   ChainReport(n=2, i_max=1, threshold=0, rows=[row(1, [], None)])):
+        assert report.to_json() == dumps_oracle(report)
+    # ensure_ascii: non-ASCII text leaves as \u escapes, astral characters as pairs
+    assert '"[x1\\u00e9\\u2211\\ud835\\udc00]D2"' in full.to_json()
 
 
 def test_report_serialization_shapes():

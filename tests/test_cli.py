@@ -97,6 +97,17 @@ def test_large_chain_report_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == pinned
 
 
+@pytest.mark.parametrize("fmt, pinned", [
+    ("csv", "43938d08dd5a7373fdd1a719d73d07ab48d4207054adb7b6dc1533ac24512f64"),
+    ("text", "d7bf5498992b6a167f017d73a4517de3d8e6cec3e7315682c08ab028263b2b92"),
+])
+def test_chain_table_formats_are_pinned(capsys, fmt, pinned):
+    # both formats write the per-layer counts, which no other test pins at this scale
+    code, out, _ = run_cli(capsys, "chain", "--n", "12", "--imax", "200", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
+
+
 def test_verify_formulas_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "formulas", "--seed", "7")
     assert code == 0
