@@ -97,17 +97,16 @@ class _KeyIndex:
 
 @dataclass(frozen=True)
 class SaturatedSet:
-    """A finite basis of monic monomials ``x^lam Delta_k`` of ``W_n``, given by
-    their keys ``(lam, k)``; optionally a weight-bounded closure.
+    """A weight-bounded closure: a finite basis of monic monomials
+    ``x^lam Delta_k`` of ``W_n``, given by their keys ``(lam, k)``.
 
-    ``closure_bound`` is None for plain enumerated generator sets and carries
-    the admitted weight for sets produced by ``saturated_closure``;
-    ``discards`` counts constituents dropped against that bound.
+    ``closure_bound`` is the admitted weight and ``discards`` counts the
+    constituents dropped against it.
     """
 
     n: int
     keys: FrozenSet[LieKey]
-    closure_bound: Optional[int] = None
+    closure_bound: int
     discards: int = 0
 
     def __post_init__(self):
@@ -194,10 +193,10 @@ def _new_keys(j: int, n: int) -> List[LieKey]:
     ]
 
 
-def enumerate_N(i: int, n: int) -> SaturatedSet:
-    """The generator set at step i: the translation generators plus the new
-    keys of every step 0..i, i.e. every monomial whose level function hits
-    its own index at some step <= i.
+def enumerate_N(i: int, n: int) -> FrozenSet[LieKey]:
+    """The keys of the generator set at step i: the translation generators
+    plus the new keys of every step 0..i, i.e. every monomial whose level
+    function hits its own index at some step <= i.
 
     The step -1 set is the translation subgroup's generators by convention,
     which keeps the chain anchored uniformly (at n = 2 the level rule alone
@@ -208,7 +207,17 @@ def enumerate_N(i: int, n: int) -> SaturatedSet:
     members: Set[LieKey] = {(EMPTY, k) for k in range(1, n + 1)}
     for j in range(0, i + 1):
         members.update(_new_keys(j, n))
-    return SaturatedSet(n=n, keys=frozenset(members))
+    return frozenset(members)
+
+
+def heaviest_generator_weight(j: int, n: int) -> int:
+    """The weight of the heaviest key of ``enumerate_N(j, n)``, j >= -1.
+
+    The translation generators weigh 0, step 0 adds keys up to ``x_(n-1) D_n``
+    of weight n - 1, and a step j >= 1 adds keys up to ``x1^(j + 1) D_n`` (the
+    shape with defect 0 and degree j + 1 in the top layer) of weight j + 1.
+    """
+    return 0 if j == -1 else max(j + 1, n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -528,8 +537,6 @@ def normalizes(key: LieKey, H: SaturatedSet) -> Optional[bool]:
     bound (or any escape when the closure itself discarded constituents) is
     not decidable at this bound and yields None ("unknown").
     """
-    if H.closure_bound is None:
-        raise ValueError("normalizes requires a closed SaturatedSet")
     check_layer(key[1], H.n, key[0].max_part)
     index = H._index
     any_unknown = False
@@ -588,7 +595,7 @@ def candidate_keys(n: int, wt_bound: int) -> Iterator[LieKey]:
     charge(count - least)
     for k in range(1, n + 1):
         for w in range(0, wt_bound + 1):
-            for lam in enumerate_partitions(w, num_parts=None, max_part=k - 1):
+            for lam in enumerate_partitions(w, k - 1):
                 yield lam, k
 
 
@@ -626,9 +633,9 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
     prev = enumerate_N(i - 1, n)
     if wt_bound is None:
         # from n = 8 on, the first generators are heavier than 2 * (i + 2)
-        wt_bound = max(2 * (i + 2), max((lam.weight for lam, _ in prev.keys), default=0))
-    closure = saturated_closure(prev.keys, wt_bound, n=n)
-    target = prev.keys.union(_new_keys(i, n))
+        wt_bound = max(2 * (i + 2), heaviest_generator_weight(i - 1, n))
+    closure = saturated_closure(prev, wt_bound, n=n)
+    target = prev.union(_new_keys(i, n))
     step = ChainStepCheck(
         n=n,
         i=i,

@@ -232,10 +232,10 @@ def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str
     if "i_max" not in params:
         return None
     if "wt_bound" in options:
-        # the check saturated_closure makes on the heaviest generator of step
-        # j = i_max - 1, which weighs max(j + 1, n - 1) (n - 1 at j = 0)
+        # the check saturated_closure makes on the generators of step --imax - 1
         ns = (options["n"],) if "n" in options else params["ns"].default
-        floor = max(options.get("imax", params["i_max"].default), max(ns) - 1)
+        imax = options.get("imax", params["i_max"].default)
+        floor = chains.heaviest_generator_weight(imax - 1, max(ns))
         if options["wt_bound"] < floor:
             return f"--wt-bound must be >= {floor}, the heaviest generator before step --imax"
     return None

@@ -93,12 +93,6 @@ class Partition(Frozen):
     def is_empty(self) -> bool:
         return not self.mults
 
-    def parts(self) -> List[int]:
-        out: List[int] = []
-        for i, v in enumerate(self.mults):
-            out.extend([i + 1] * v)
-        return out
-
     def multiplicity(self, i: int) -> int:
         """Multiplicity of the part ``i`` (1-indexed)."""
         check_index(i, 1, "part index")
@@ -148,40 +142,31 @@ class Partition(Frozen):
 EMPTY = Partition()
 
 
-def enumerate_partitions(
-    wt: int, num_parts: Optional[int] = None, max_part: Optional[int] = None
-) -> List[Partition]:
-    """All partitions of ``wt`` with the given number of parts and part bound.
+def enumerate_partitions(wt: int, max_part: Optional[int] = None) -> List[Partition]:
+    """All partitions of ``wt`` with parts at most ``max_part`` (default ``wt``).
 
-    ``num_parts=None`` leaves the number of parts unconstrained.  The result
-    is duplicate-free and sorted lexicographically on the multiplicity
-    vector, which fixes a deterministic order.
-
-    The recursion chooses the multiplicity of ``part``, then of ``part - 1``,
-    down to 1.  Every call can complete: with ``num_parts`` set, the
-    ``deg_left`` parts still to place each lie in ``[1, part]``, so a call is
-    made only when ``deg_left <= wt_left <= deg_left * part``.  The work
-    therefore grows with the output and not with the search.
+    The result is duplicate-free and sorted lexicographically on the
+    multiplicity vector, which fixes a deterministic order.  The recursion
+    chooses the multiplicity of ``part``, then of ``part - 1``, down to 1,
+    where the rest of the weight is all 1's; every call completes, so the
+    work grows with the output and not with the search.
     """
-    if wt < 0 or (num_parts is not None and num_parts < 0):
+    if wt < 0:
         return []
     if max_part is None:
         max_part = wt
     if max_part < 0:
         return []
     if wt == 0:
-        return [EMPTY] if num_parts in (None, 0) else []
+        return [EMPTY]
     effective_max = min(max_part, wt)
     if effective_max == 0:
-        return []
-    if num_parts is not None and not num_parts <= wt <= num_parts * effective_max:
         return []
 
     results: List[Partition] = []
 
-    def rec(part: int, wt_left: int, deg_left: Optional[int], acc: List[int]):
+    def rec(part: int, wt_left: int, acc: List[int]):
         if part == 1:
-            # the rest is all 1's; with deg_left set the invariant gives deg_left == wt_left
             acc.append(wt_left)
             mults = acc[::-1]
             while not mults[-1]:  # the top multiplicity may be 0; wt > 0 keeps a part
@@ -189,23 +174,12 @@ def enumerate_partitions(
             results.append(Partition._of(tuple(mults)))
             acc.pop()
             return
-        if deg_left is None:
-            low, top = 0, wt_left // part
-        else:
-            # keep deg_left - mult <= wt_left - mult * part <= (deg_left - mult) * (part - 1)
-            low = max(0, wt_left - deg_left * (part - 1))
-            top = min(deg_left, (wt_left - deg_left) // (part - 1))
-        for mult in range(low, top + 1):
+        for mult in range(wt_left // part + 1):
             acc.append(mult)
-            rec(
-                part - 1,
-                wt_left - mult * part,
-                None if deg_left is None else deg_left - mult,
-                acc,
-            )
+            rec(part - 1, wt_left - mult * part, acc)
             acc.pop()
 
-    rec(effective_max, wt, num_parts, [])
+    rec(effective_max, wt, [])
     results.sort(key=lambda p: p.mults)
     return results
 

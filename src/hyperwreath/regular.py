@@ -95,7 +95,7 @@ def is_normal_in_N0(family: RegularFamily) -> bool:
     generator inside the family (checked on both conjugation sides).
     """
     n = family.n
-    for lam, k in enumerate_N(0, n).keys:
+    for lam, k in enumerate_N(0, n):
         s = GroupElement.monomial(1, lam, k, n)
         s_inv = s.inverse()
         for t in family.generators:

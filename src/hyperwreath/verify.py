@@ -36,7 +36,7 @@ class PropertyResult:
 @lru_cache(maxsize=1024)
 def _partition_options(wt: int, max_part: int) -> Tuple[Partition, ...]:
     """The partitions of ``wt`` with parts at most ``max_part``, in enumeration order."""
-    return tuple(enumerate_partitions(wt, num_parts=None, max_part=max_part))
+    return tuple(enumerate_partitions(wt, max_part))
 
 
 def random_partition(rng: random.Random, max_part: int, max_wt: int) -> Partition:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from dataclasses import astuple
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -22,6 +23,7 @@ from hyperwreath.chains import (
     growth_counts,
     growth_threshold,
     h_func,
+    heaviest_generator_weight,
     idealizes,
     lev,
     normalizes,
@@ -68,12 +70,11 @@ def test_wdd_and_lev_examples():
 
 def test_enumerate_N_base_cases():
     for n in (2, 3, 4):
-        base = enumerate_N(-1, n)
-        assert base.keys == {(EMPTY, k) for k in range(1, n + 1)}
+        assert enumerate_N(-1, n) == {(EMPTY, k) for k in range(1, n + 1)}
 
 
 def test_enumerate_N0_is_unitriangular_frame():
-    got = enumerate_N(0, 4).keys
+    got = enumerate_N(0, 4)
     expected = {(EMPTY, k) for k in range(1, 5)}
     expected |= {key([j], k) for k in range(2, 5) for j in range(1, k)}
     assert got == expected
@@ -81,18 +82,84 @@ def test_enumerate_N0_is_unitriangular_frame():
 
 
 def test_first_step_adds_the_single_square():
-    prev = enumerate_N(0, 4).keys
-    new = enumerate_N(1, 4).keys - prev
+    prev = enumerate_N(0, 4)
+    new = enumerate_N(1, 4) - prev
     assert new == {key([1, 1], 4)}
 
 
 def test_sets_are_nested():
     for n in (2, 3, 4, 5):
-        prev = enumerate_N(-1, n).keys
+        prev = enumerate_N(-1, n)
         for i in range(0, 9):
-            cur = enumerate_N(i, n).keys
+            cur = enumerate_N(i, n)
             assert prev <= cur
             prev = cur
+
+
+def partitions_into(wt, d, max_part):
+    """The partitions of ``wt`` into exactly ``d`` parts, each at most
+    ``max_part``, sorted on their multiplicities: the exact-degree route the
+    increment tables replaced, kept as their oracle.
+
+    The recursion chooses the multiplicity of ``part``, then of ``part - 1``,
+    down to 1.  The ``deg_left`` parts still to place each lie in
+    ``[1, part]``, so a call is made only when
+    ``deg_left <= wt_left <= deg_left * part``: every call completes, and the
+    work grows with the output, not with all partitions of ``wt``.
+    """
+    if wt < 0 or d < 0:
+        return []
+    if wt == 0:
+        return [EMPTY] if d == 0 else []
+    top_part = min(max_part, wt)
+    if top_part < 1 or not d <= wt <= d * top_part:
+        return []
+    results = []
+
+    def rec(part, wt_left, deg_left, acc):
+        if part == 1:
+            mults = [wt_left, *reversed(acc)]  # deg_left == wt_left by the invariant
+            while not mults[-1]:
+                mults.pop()
+            results.append(Partition._of(tuple(mults)))
+            return
+        # keep deg_left - mult <= wt_left - mult * part <= (deg_left - mult) * (part - 1)
+        low = max(0, wt_left - deg_left * (part - 1))
+        high = min(deg_left, (wt_left - deg_left) // (part - 1))
+        for mult in range(low, high + 1):
+            acc.append(mult)
+            rec(part - 1, wt_left - mult * part, deg_left - mult, acc)
+            acc.pop()
+
+    rec(top_part, wt, d, [])
+    return sorted(results, key=lambda p: p.mults)
+
+
+def test_partitions_into_matches_brute_force():
+    # every multiset of d parts from 1..min(max_part, wt) whose sum is wt
+    found = 0
+    for wt in range(-1, 10):
+        for d in range(-1, 11):
+            for max_part in range(-1, 11):
+                got = partitions_into(wt, d, max_part)
+                parts = range(1, min(max_part, wt) + 1)
+                brute = [] if d < 0 else sorted(
+                    (Partition.from_parts(c) for c in combinations_with_replacement(parts, d)
+                     if sum(c) == wt),
+                    key=lambda p: p.mults,
+                )
+                assert got == brute, (wt, d, max_part)
+                found += len(got)
+    assert found > 500
+
+
+def test_heaviest_generator_weight_matches_the_generator_sets():
+    for n in range(2, 13):
+        heaviest = max(lam.weight for lam, _ in enumerate_N(-1, n))
+        assert heaviest_generator_weight(-1, n) == heaviest == 0
+        for j in range(0, 61):
+            heaviest = max(heaviest, *(lam.weight for lam, _ in _new_keys(j, n)))
+            assert heaviest_generator_weight(j, n) == heaviest, (n, j)
 
 
 def level_set(j, n):
@@ -112,7 +179,7 @@ def level_set(j, n):
         for k in range(1, n + 1):
             wt = w + d - (n - k)
             if wt >= d:
-                out.update((lam, k) for lam in enumerate_partitions(wt, num_parts=d, max_part=k - 1))
+                out.update((lam, k) for lam in partitions_into(wt, d, k - 1))
     return out
 
 
@@ -154,7 +221,7 @@ def test_increments_match_the_direct_partition_route(n):
         for b in _new_keys(i, n):
             by_shape.setdefault((wdd(b, n), b[0].degree, b[1]), []).append(b)
         for defect, d, k in _increment_shapes(i, n):
-            direct = enumerate_partitions(defect + d - (n - k), num_parts=d, max_part=k - 1)
+            direct = partitions_into(defect + d - (n - k), d, k - 1)
             shifted = by_shape.pop((defect, d, k), [])
             assert len(shifted) == len(set(shifted)), (n, i, defect, d, k)
             assert set(shifted) == {(lam, k) for lam in direct}, (n, i, defect, d, k)
@@ -207,16 +274,16 @@ def test_increments_partition_the_union():
         report = verify_growth(n, 12)
         for row in report.rows:
             new = [MonomialElement(1, lam, k, n)
-                   for lam, k in enumerate_N(row.i, n).keys - enumerate_N(row.i - 1, n).keys]
+                   for lam, k in enumerate_N(row.i, n) - enumerate_N(row.i - 1, n)]
             ordered = sorted(new, key=lambda m: m.tdeg(), reverse=True)
             assert row.generators == [m.render() for m in ordered], (n, row.i)
             counts = {k: sum(m.layer == k for m in new) for k in range(1, n + 1)}
             assert (row.counts, row.total) == (counts, len(new)), (n, row.i)
-        union = [render_key(b) for b in enumerate_N(0, n).keys]
+        union = [render_key(b) for b in enumerate_N(0, n)]
         for row in report.rows[:8]:
             union += row.generators
         assert len(union) == len(set(union))
-        assert set(union) == {render_key(b) for b in enumerate_N(8, n).keys}
+        assert set(union) == {render_key(b) for b in enumerate_N(8, n)}
 
 
 def test_render_key_matches_the_monomial_element():
@@ -383,15 +450,15 @@ def test_report_serialization_shapes():
 
 def test_closure_of_commuting_generators_is_itself():
     t = enumerate_N(-1, 3)
-    closed = saturated_closure(t.keys, 6, n=3)
-    assert closed.keys == t.keys
+    closed = saturated_closure(t, 6, n=3)
+    assert closed.keys == t
     assert closed.discards == 0
 
 
 def test_closure_of_step0_set_is_fixed():
     n0 = enumerate_N(0, 3)
-    closed = saturated_closure(n0.keys, 6, n=3)
-    assert closed.keys == n0.keys
+    closed = saturated_closure(n0, 6, n=3)
+    assert closed.keys == n0
     assert closed.discards == 0
 
 
@@ -408,9 +475,9 @@ def test_generator_sets_are_commutator_closed():
     for n in (2, 3, 4):
         for i in range(-1, 5):
             base = enumerate_N(i, n)
-            bound = max(2 * (i + 3), *(lam.weight for lam, _ in base.keys))
-            closed = saturated_closure(base.keys, bound, n=n)
-            assert closed.keys == base.keys
+            bound = max(2 * (i + 3), *(lam.weight for lam, _ in base))
+            closed = saturated_closure(base, bound, n=n)
+            assert closed.keys == base
             assert closed.discards == 0
 
 
@@ -429,19 +496,19 @@ def test_closure_counts_discards():
 
 def test_normalizes_examples():
     n = 4
-    closure = saturated_closure(enumerate_N(0, n).keys, 6, n=n)
+    closure = saturated_closure(enumerate_N(0, n), 6, n=n)
     assert normalizes(key([], n), closure) is True
     assert normalizes(key([1, 1], n), closure) is True
     assert normalizes(key([1, 1, 1], n), closure) is False
 
 
-def test_normalizes_requires_closed_set():
-    with pytest.raises(ValueError):
-        normalizes(key([], 4), enumerate_N(0, 4))
+def test_saturated_set_requires_a_closure_bound():
+    with pytest.raises(TypeError):
+        SaturatedSet(n=4, keys=enumerate_N(0, 4))
 
 
 def test_normalizes_refuses_a_key_of_a_larger_group():
-    closure = saturated_closure(enumerate_N(0, 4).keys, 6, n=4)
+    closure = saturated_closure(enumerate_N(0, 4), 6, n=4)
     for b in (key([], 5), key([4], 5), key([4], 4)):
         with pytest.raises(ValueError, match="below the layer"):
             normalizes(b, closure)
@@ -449,16 +516,16 @@ def test_normalizes_refuses_a_key_of_a_larger_group():
 
 def test_normalizes_unknown_when_bound_hides_the_answer():
     n = 2
-    tiny = saturated_closure(enumerate_N(-1, n).keys, 0, n=n)
+    tiny = saturated_closure(enumerate_N(-1, n), 0, n=n)
     probe = key([1] * 5, 2)  # all escaping constituents are over-bound
     assert normalizes(probe, tiny) is None
-    roomy = saturated_closure(enumerate_N(-1, n).keys, 6, n=n)
+    roomy = saturated_closure(enumerate_N(-1, n), 6, n=n)
     assert normalizes(probe, roomy) is False
 
 
 def test_normalizes_unknown_when_closure_was_lossy():
     n = 3
-    base = enumerate_N(0, n).keys
+    base = enumerate_N(0, n)
     lossy = SaturatedSet(n=n, keys=base, closure_bound=6, discards=1)
     probe = key([1, 1, 1], 3)
     # an in-bound escape cannot be conclusive against an incomplete basis
@@ -469,7 +536,7 @@ def test_normalizes_unknown_when_closure_was_lossy():
 
 def test_idealizes_examples():
     n = 4
-    closure = saturated_closure(enumerate_N(0, n).keys, 6, n=n)
+    closure = saturated_closure(enumerate_N(0, n), 6, n=n)
     assert idealizes(key([], n), closure.keys) is True
     assert idealizes(key([1, 1], n), closure.keys) is True
     assert idealizes(key([1, 1, 1], n), closure.keys) is False
@@ -495,7 +562,7 @@ def contains_element(H, g):
 
 def test_membership_of_group_elements_in_saturated_set():
     n = 3
-    closure = saturated_closure(enumerate_N(0, n).keys, 6, n=n)
+    closure = saturated_closure(enumerate_N(0, n), 6, n=n)
     g = GroupElement.delta(1, n) * GroupElement.monomial(2, Partition.from_parts([1]), 3, n)
     assert contains_element(closure, g)
     bad = GroupElement.monomial(1, Partition.from_parts([1, 1]), 3, n)
@@ -543,10 +610,10 @@ def test_candidate_monomials_cover_all_layers():
 
 def test_saturated_set_validation():
     # a key is monic by definition; it must obey the layer rule of the set's n
-    assert len(SaturatedSet(n=3, keys=frozenset({key([2], 3), key([], 1)}))) == 2
+    assert len(SaturatedSet(n=3, keys=frozenset({key([2], 3), key([], 1)}), closure_bound=2)) == 2
     for bad in (key([], 4), key([], 0), key([3], 3), key([1], 1)):
         with pytest.raises(ValueError, match="below the layer"):
-            SaturatedSet(n=3, keys=frozenset({key([], 1), bad}))
+            SaturatedSet(n=3, keys=frozenset({key([], 1), bad}), closure_bound=3)
 
 
 # -- the closed-form key route against the polynomial route ------------------------
@@ -609,7 +676,7 @@ def reference_normalizes(b, H):
 def test_verdicts_match_the_poly_route(n):
     for i in range(1, 5):
         bound = 2 * (i + 2)  # check_chain_step's default
-        gens = enumerate_N(i - 1, n).keys
+        gens = enumerate_N(i - 1, n)
         closure = saturated_closure(gens, bound, n=n)
         assert (closure.keys, closure.discards) == reference_closure(gens, bound, n)
         for b in candidate_keys(n, bound):
@@ -619,15 +686,15 @@ def test_verdicts_match_the_poly_route(n):
 def test_lossy_and_bounded_closures_match_the_poly_route():
     cases = [
         ([key([2, 2], 3), key([1, 1, 1], 2)], 4, 3),
-        (enumerate_N(-1, 2).keys, 0, 2),
-        (enumerate_N(-1, 2).keys, 6, 2),
-        (enumerate_N(0, 3).keys, 6, 3),
+        (enumerate_N(-1, 2), 0, 2),
+        (enumerate_N(-1, 2), 6, 2),
+        (enumerate_N(0, 3), 6, 3),
     ]
     for gens, bound, n in cases:
         closure = saturated_closure(gens, bound, n=n)
         assert (closure.keys, closure.discards) == reference_closure(gens, bound, n)
         for b in candidate_keys(n, 6):
             assert normalizes(b, closure) == reference_normalizes(b, closure), b
-    lossy = SaturatedSet(n=3, keys=enumerate_N(0, 3).keys, closure_bound=6, discards=1)
+    lossy = SaturatedSet(n=3, keys=enumerate_N(0, 3), closure_bound=6, discards=1)
     for b in candidate_keys(3, 6):
         assert normalizes(b, lossy) == reference_normalizes(b, lossy), b

@@ -208,6 +208,7 @@ def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
     ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 946),
     ("verify --suite chain --n 5 --imax 8", 46_723),
     ("chain --n 8 --imax 60 --format json", 1352),
+    ("verify --suite chain --n 3 --imax 10 --wt-bound 100", 1_007_007),
 ])
 def test_commands_charge_pinned_units(capsys, monkeypatch, argv, units):
     monkeypatch.setattr(budget, "LIMIT", units)
@@ -232,7 +233,7 @@ def test_library_callers_run_without_a_budget(monkeypatch):
 def test_wt_bound_floor_is_the_heaviest_generator_before_step_imax():
     for n in range(2, 9):
         for j in range(0, 21):
-            floor = max(lam.weight for lam, _ in enumerate_N(j, n).keys)
+            floor = max(lam.weight for lam, _ in enumerate_N(j, n))
             options = {"n": n, "imax": j + 1}
             assert _verify_config_error("chain", {**options, "wt_bound": floor}) is None
             assert _verify_config_error("chain", {**options, "wt_bound": floor - 1}) == (

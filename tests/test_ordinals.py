@@ -89,7 +89,7 @@ def test_tdeg_injective_on_monomials():
         seen = {}
         for k in range(1, n + 1):
             for wt in range(0, 6):
-                for lam in enumerate_partitions(wt, None, k - 1):
+                for lam in enumerate_partitions(wt, k - 1):
                     t = tdeg_of_monomial(lam, k, n)
                     assert t not in seen, (
                         f"collision at n={n}: {(lam, k)} vs {seen[t]}"

@@ -62,52 +62,34 @@ def brute_partitions(total, max_part=None):
     return out
 
 
-def unpruned_partitions(wt, num_parts=None, max_part=None):
-    """Reference enumerator: the search without feasibility pruning, which
-    explores every multiplicity up to the part and weight bounds and drops the
-    branches that end with weight or parts left over."""
-    if wt < 0 or (num_parts is not None and num_parts < 0):
+def parts(p):
+    """The parts of ``p`` in increasing order, e.g. [1, 1, 2] for mults (2, 1)."""
+    return [i for i, v in enumerate(p.mults, 1) for _ in range(v)]
+
+
+def unpruned_partitions(wt, max_part=None):
+    """Reference enumerator: a search that tries every multiplicity of every
+    part up to the bound, 1 included, and keeps the branches that end with no
+    weight left."""
+    if wt < 0:
         return []
     if max_part is None:
         max_part = wt
     if max_part < 0:
         return []
-
     results = []
 
-    def rec(part, wt_left, deg_left, acc):
+    def rec(part, wt_left, acc):
         if part == 0:
-            if wt_left == 0 and deg_left in (None, 0):
+            if wt_left == 0:
                 results.append(Partition(reversed(acc)))
             return
-        if part == 1:
-            if deg_left is not None and deg_left != wt_left:
-                return
-            acc.append(wt_left)
-            rec(0, 0, 0 if deg_left is not None else None, acc)
-            acc.pop()
-            return
-        top = wt_left // part
-        if deg_left is not None:
-            top = min(top, deg_left)
-        for mult in range(top + 1):
+        for mult in range(wt_left // part + 1):
             acc.append(mult)
-            rec(
-                part - 1,
-                wt_left - mult * part,
-                None if deg_left is None else deg_left - mult,
-                acc,
-            )
+            rec(part - 1, wt_left - mult * part, acc)
             acc.pop()
 
-    effective_max = min(max_part, wt) if wt > 0 else 0
-    if wt == 0:
-        if num_parts in (None, 0):
-            return [EMPTY]
-        return []
-    if effective_max == 0:
-        return []
-    rec(effective_max, wt, num_parts, [])
+    rec(min(max_part, wt), wt, [])
     results.sort(key=lambda p: p.mults)
     return results
 
@@ -120,11 +102,11 @@ def test_weight_examples():
 
 def test_multiplicity_and_parts_round_trip():
     p = Partition([2, 1, 0, 3])
-    assert p.parts() == [1, 1, 2, 4, 4, 4]
+    assert parts(p) == [1, 1, 2, 4, 4, 4]
     assert p.multiplicity(1) == 2
     assert p.multiplicity(4) == 3
     assert p.multiplicity(17) == 0
-    assert Partition.from_parts(p.parts()) == p
+    assert Partition.from_parts(parts(p)) == p
 
 
 def test_degree_weight_invariants():
@@ -141,17 +123,20 @@ def test_trailing_zeros_are_trimmed():
 
 
 def test_enumerate_trivial_cases():
-    assert enumerate_partitions(0, 0, 5) == [EMPTY]
-    assert enumerate_partitions(0, None, 0) == [EMPTY]
-    assert enumerate_partitions(3, 7, 3) == []
-    assert enumerate_partitions(-1, None, None) == []
+    assert enumerate_partitions(0) == [EMPTY]
+    assert enumerate_partitions(0, 5) == [EMPTY]
+    assert enumerate_partitions(0, 0) == [EMPTY]
+    assert enumerate_partitions(3, 0) == []
+    assert enumerate_partitions(0, -1) == []
+    assert enumerate_partitions(-1) == []
+    assert enumerate_partitions(-1, 3) == []
 
 
 def test_enumerate_examples():
-    assert enumerate_partitions(3, 2, 2) == [Partition.from_parts([1, 2])]
-    got = enumerate_partitions(4, None, 2)
+    assert enumerate_partitions(3, 2) == [Partition.from_parts([1, 2]), Partition.from_parts([1, 1, 1])]
+    got = enumerate_partitions(4, 2)
     assert len(got) == 3
-    assert {tuple(sorted(p.parts())) for p in got} == {(2, 2), (1, 1, 2), (1, 1, 1, 1)}
+    assert {tuple(sorted(parts(p))) for p in got} == {(2, 2), (1, 1, 2), (1, 1, 1, 1)}
 
 
 def test_enumerate_matches_brute_oracle():
@@ -160,41 +145,27 @@ def test_enumerate_matches_brute_oracle():
             expected = {
                 tuple(sorted(parts)) for parts in brute_partitions(total, max_part)
             }
-            got = enumerate_partitions(total, None, max_part)
+            got = enumerate_partitions(total, max_part)
             assert len(got) == len(set(got)), "duplicates returned"
-            assert {tuple(sorted(p.parts())) for p in got} == expected
+            assert {tuple(sorted(parts(p))) for p in got} == expected
             for p in got:
                 assert p.weight == total
                 assert p.max_part <= max_part or p.is_empty
 
 
-def test_enumerate_respects_num_parts():
-    for total in range(0, 9):
-        for deg in range(0, total + 1):
-            got = enumerate_partitions(total, deg, total)
-            expected = [
-                parts for parts in brute_partitions(total) if len(parts) == deg
-            ]
-            assert len(got) == len(expected)
-            for p in got:
-                assert p.degree == deg
-
-
 def test_enumerate_matches_unpruned_reference_on_grid():
-    # the only inputs pruning changes combine num_parts with a max_part below wt
     cases = 0
-    for wt in range(22):
-        for num_parts in [None, *range(23)]:
-            for max_part in [None, *range(14)]:
-                got = [p.mults for p in enumerate_partitions(wt, num_parts, max_part)]
-                want = [p.mults for p in unpruned_partitions(wt, num_parts, max_part)]
-                assert got == want, (wt, num_parts, max_part)
-                cases += 1
-    assert cases == 7920
+    for wt in range(-2, 22):
+        for max_part in [None, *range(-1, 23)]:
+            got = [p.mults for p in enumerate_partitions(wt, max_part)]
+            want = [p.mults for p in unpruned_partitions(wt, max_part)]
+            assert got == want, (wt, max_part)
+            cases += 1
+    assert cases == 600
 
 
 def test_enumerate_order_is_lexicographic_on_multiplicities():
-    got = enumerate_partitions(4, None, 2)
+    got = enumerate_partitions(4, 2)
     assert [p.mults for p in got] == sorted(p.mults for p in got)
 
 
@@ -208,7 +179,7 @@ def test_sequence_examples():
 def test_counts_match_enumeration():
     a = count_partitions(12)
     for total in range(13):
-        assert a[total] == len(enumerate_partitions(total, None, total))
+        assert a[total] == len(enumerate_partitions(total, total))
 
 
 def test_prefix_sum_relations():
@@ -230,8 +201,8 @@ def test_negative_index_convention():
 @given(st.lists(st.integers(min_value=0, max_value=5), max_size=6))
 def test_weight_recomputed_from_parts(mults):
     p = Partition(mults)
-    assert p.weight == sum(p.parts())
-    assert p.degree == len(p.parts())
+    assert p.weight == sum(parts(p))
+    assert p.degree == len(parts(p))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -300,8 +271,8 @@ def test_combine_matches_the_validating_route():
 
 def test_enumerated_partitions_are_well_formed():
     for wt in range(13):
-        for num_parts in [None, *range(wt + 1)]:
-            for p in enumerate_partitions(wt, num_parts):
+        for max_part in [None, *range(wt + 1)]:
+            for p in enumerate_partitions(wt, max_part):
                 assert_well_formed(p)
 
 

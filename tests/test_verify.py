@@ -32,7 +32,7 @@ def test_partition_options_are_the_enumeration_in_order():
     for max_part in range(1, 7):
         for wt in range(0, 9):
             options = verify._partition_options(wt, max_part)
-            assert list(options) == enumerate_partitions(wt, num_parts=None, max_part=max_part)
+            assert list(options) == enumerate_partitions(wt, max_part)
             assert verify._partition_options(wt, max_part) is options  # memoised
 
 
