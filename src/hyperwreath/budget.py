@@ -19,7 +19,7 @@ from typing import Optional
 # Units one command may charge.  It admits the heaviest product the README
 # shows, [x1 + 1]D2 * [x2^140]D3 (1,401,551 units).  On a 2-vCPU VM under
 # Python 3.11, calc spends about 0.8 million units a second and verify
-# --suite chain 0.5-3 million, so either refuses a runaway run within about
+# --suite chain 0.6-5 million, so either refuses a runaway run within about
 # two seconds.
 LIMIT = 1_500_000
 

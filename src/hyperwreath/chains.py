@@ -553,17 +553,23 @@ def normalizes(key: LieKey, H: SaturatedSet) -> Optional[bool]:
     return None if any_unknown else True
 
 
-def idealizes(key: LieKey, h_keys: FrozenSet[LieKey]) -> bool:
+def idealizes(key: LieKey, H: SaturatedSet) -> bool:
     """Check that a Lie basis element idealizes the homogeneous subring
-    spanned by ``h_keys``: each bracket with a member is again in the span.
+    spanned by the basis ``H``: each bracket with a member is again in the
+    span.
+
+    Only the partners of ``key`` in ``H`` are visited: by the layer rule the
+    bracket with any other member is zero, as ``bracket_keys`` takes a
+    derivative along the lower layer.
     """
+    h_keys = H.keys
     verdict, calls = True, 0
-    for calls, other in enumerate(h_keys, 1):
+    for calls, other in enumerate(H._index.partners(key), 1):
         coeff, out = bracket_keys(key, other)
         if coeff != 0 and out not in h_keys:
             verdict = False
             break
-    charge(calls)  # after the fact: one call costs at most len(h_keys)
+    charge(calls)  # after the fact: at most one call per partner of ``key``
     return verdict
 
 
@@ -582,7 +588,9 @@ def candidate_keys(n: int, wt_bound: int) -> Iterator[LieKey]:
     Their number is charged before the first is built.  Every layer above the
     first has the candidate ``1^w`` of each weight; that many are charged
     first, and they also pay for counting the rest, one pass per layer over a
-    table of ``wt_bound + 1`` entries.
+    table of ``wt_bound + 1`` entries.  The partitions of each weight are
+    enumerated once, with parts below the top layer, and layer k takes those
+    whose top part is below k, in the same order.
     """
     least = (n - 1) * (wt_bound + 1) + 1
     charge(least)
@@ -593,10 +601,12 @@ def candidate_keys(n: int, wt_bound: int) -> Iterator[LieKey]:
             ways[w] += ways[w - part]
         count += sum(ways)
     charge(count - least)
+    by_weight = [enumerate_partitions(w, n - 1) for w in range(wt_bound + 1)]
     for k in range(1, n + 1):
-        for w in range(0, wt_bound + 1):
-            for lam in enumerate_partitions(w, k - 1):
-                yield lam, k
+        for lams in by_weight:
+            for lam in lams:
+                if len(lam.mults) < k:
+                    yield lam, k
 
 
 @dataclass
@@ -656,7 +666,7 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
             continue
         if verdict:
             step.group_passes += 1
-        lie_verdict = idealizes(key, closure.keys)
+        lie_verdict = idealizes(key, closure)
         if lie_verdict:
             step.lie_passes += 1
         if lie_verdict != verdict:

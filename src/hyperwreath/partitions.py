@@ -11,13 +11,15 @@ and the check of other integer arguments ``check_index``.
 
 from __future__ import annotations
 
-from operator import add
+from itertools import count
+from operator import add, mul
 from typing import Iterable, List, Optional, Tuple
 
 
 class Frozen:
     """Base of the immutable value classes: their slots are set once through
-    ``object.__setattr__``, and assignment and deletion then raise."""
+    ``object.__setattr__`` or the slot's member descriptor, and assignment and
+    deletion then raise."""
 
     __slots__ = ()
 
@@ -58,9 +60,10 @@ class Partition(Frozen):
 
     @classmethod
     def _of(cls, mults: Tuple[int, ...]) -> "Partition":
-        """Wrap a tuple of non-negative ints that has no trailing zero."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "mults", mults)
+        """Wrap a tuple of non-negative ints that has no trailing zero; the slot
+        is set through its member descriptor, past ``Frozen.__setattr__``."""
+        out = object.__new__(cls)
+        _set_mults(out, mults)
         return out
 
     @classmethod
@@ -78,7 +81,7 @@ class Partition(Frozen):
 
     @property
     def weight(self) -> int:
-        return sum((i + 1) * v for i, v in enumerate(self.mults))
+        return sum(map(mul, self.mults, count(1)))
 
     @property
     def degree(self) -> int:
@@ -114,18 +117,22 @@ class Partition(Frozen):
         return Partition._of(tuple(map(add, a, b)) + a[len(b):])  # ends as ``a`` does, nonzero
 
     def replace_part(self, i: int, other: "Partition") -> "Partition":
-        """Swap one part equal to ``i`` for the parts of ``other``; the part must
-        be present.  Removing the part and then combining, in one pass."""
-        m = self.mults
-        if not 0 < i <= len(m) or not m[i - 1]:
-            raise ValueError(f"no part equal to {i} to remove")
-        a, b = (m, other.mults) if len(m) >= len(other.mults) else (other.mults, m)
-        out = list(map(add, a, b))
-        out += a[len(b):]
-        out[i - 1] -= 1
-        while out and not out[-1]:  # only when the top part of ``self`` went
-            out.pop()
-        return Partition._of(tuple(out))
+        """Swap one part equal to ``i`` for the parts of ``other``, in one pass:
+        the part must be present and every part of ``other`` below ``i``, as in
+        a commutator of keys, where ``other`` lives in layer ``i``."""
+        m, b = self.mults, other.mults
+        lb = len(b)
+        if not lb < i <= len(m) or not m[i - 1]:
+            raise ValueError(f"need a part {i} to remove and every part of {other!r} below it")
+        v = m[i - 1] - 1
+        if v or i < len(m):
+            if lb:
+                return Partition._of((*map(add, m, b), *m[lb:i - 1], v, *m[i:]))
+            return Partition._of((*m[:i - 1], v, *m[i:]))
+        out = (*map(add, m, b), *m[lb:i - 1])
+        while out and not out[-1]:  # the top part went, and the zeros under it
+            out = out[:-1]
+        return Partition._of(out)
 
     # -- dunder plumbing ---------------------------------------------------
 
@@ -139,6 +146,7 @@ class Partition(Frozen):
         return f"Partition({list(self.mults)})"
 
 
+_set_mults = Partition.mults.__set__
 EMPTY = Partition()
 
 

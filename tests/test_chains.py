@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from hyperwreath.budget import WorkBudget, charge
 from hyperwreath.chains import (
     SaturatedSet,
     _increment_shapes,
@@ -33,6 +34,7 @@ from hyperwreath.chains import (
     verify_growth,
     wdd,
 )
+from hyperwreath.liering import bracket_keys
 from hyperwreath.ordinals import ONE, OrdinalCNF, tdeg_of_monomial
 from hyperwreath.partitions import EMPTY, Partition, enumerate_partitions, sequences_abc
 from hyperwreath.verify import random_monomial
@@ -537,9 +539,53 @@ def test_normalizes_unknown_when_closure_was_lossy():
 def test_idealizes_examples():
     n = 4
     closure = saturated_closure(enumerate_N(0, n), 6, n=n)
-    assert idealizes(key([], n), closure.keys) is True
-    assert idealizes(key([1, 1], n), closure.keys) is True
-    assert idealizes(key([1, 1, 1], n), closure.keys) is False
+    assert idealizes(key([], n), closure) is True
+    assert idealizes(key([1, 1], n), closure) is True
+    assert idealizes(key([1, 1, 1], n), closure) is False
+
+
+def idealizes_full_walk(key, h_keys):
+    """``idealizes`` over every member of ``h_keys``, not only the partners of
+    ``key``; it charges the brackets it took."""
+    verdict, calls = True, 0
+    for calls, other in enumerate(h_keys, 1):
+        coeff, out = bracket_keys(key, other)
+        if coeff != 0 and out not in h_keys:
+            verdict = False
+            break
+    charge(calls)
+    return verdict
+
+
+def step_closure(n, i):
+    """The closure and weight bound ``check_chain_step(n, i)`` checks against."""
+    bound = max(2 * (i + 2), heaviest_generator_weight(i - 1, n))
+    return saturated_closure(enumerate_N(i - 1, n), bound, n=n), bound
+
+
+def assert_mirror_matches_full_walk(closure, bound):
+    verdicts = set()
+    for b in candidate_keys(closure.n, bound):
+        with WorkBudget() as budget:
+            verdict = idealizes(b, closure)
+        assert verdict == idealizes_full_walk(b, closure.keys), b
+        if verdict:  # a passing key took the bracket with each partner
+            assert budget.limit - budget.left == sum(1 for _ in closure._index.partners(b))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, i", [(4, 12), (5, 8), (7, 5)])
+def test_idealizes_matches_the_full_walk_on_step_closures(n, i):
+    assert_mirror_matches_full_walk(*step_closure(n, i))
+
+
+def test_idealizes_matches_the_full_walk_on_lossy_and_bounded_closures():
+    bounded = saturated_closure([key([2, 2], 3), key([1, 1, 1], 2)], 4, n=3)
+    assert bounded.discards > 0
+    assert_mirror_matches_full_walk(bounded, 6)
+    lossy = SaturatedSet(n=3, keys=enumerate_N(0, 3), closure_bound=6, discards=1)
+    assert_mirror_matches_full_walk(lossy, 6)
 
 
 def test_center_membership_examples():
@@ -598,6 +644,39 @@ def test_comm_constituents_match_group_commutator():
         b = random_monomial(rng, n)
         direct = comm(a.to_group(), b.to_group()).decompose()
         assert comm_constituents(a, b) == direct
+
+
+def candidate_keys_per_layer(n, wt_bound):
+    """``candidate_keys`` with one enumeration per layer and weight, each with
+    parts below the layer, after the same two charges."""
+    least = (n - 1) * (wt_bound + 1) + 1
+    charge(least)
+    ways = [1] + [0] * wt_bound
+    count = 1
+    for part in range(1, n):
+        for w in range(part, wt_bound + 1):
+            ways[w] += ways[w - part]
+        count += sum(ways)
+    charge(count - least)
+    for k in range(1, n + 1):
+        for w in range(0, wt_bound + 1):
+            for lam in enumerate_partitions(w, k - 1):
+                yield lam, k
+
+
+def charged(keys):
+    """The list of ``keys`` and the units taking them charged."""
+    with WorkBudget() as budget:
+        out = list(keys)
+    return out, budget.limit - budget.left
+
+
+def test_candidate_keys_match_the_per_layer_route():
+    for n in range(2, 9):
+        for bound in range(15):
+            got, units = charged(candidate_keys(n, bound))
+            assert (got, units) == charged(candidate_keys_per_layer(n, bound)), (n, bound)
+            assert units == len(got)
 
 
 def test_candidate_monomials_cover_all_layers():

@@ -240,10 +240,11 @@ SMALL = [p for wt in range(7) for p in enumerate_partitions(wt)]
 
 
 def test_replace_part_matches_remove_then_combine():
-    seen = {"trimmed": 0, "longer": 0, "shorter": 0, "empty": 0, "absent": 0}
+    # the domain of every caller: ``q`` has no part >= i, as a key of layer i
+    seen = {"trimmed": 0, "shorter": 0, "empty": 0, "absent": 0}
     for p in SMALL:
         for q in SMALL:
-            for i in range(1, p.max_part + 2):
+            for i in range(q.max_part + 1, p.max_part + 2):
                 if p.multiplicity(i) == 0:
                     with pytest.raises(ValueError):
                         p.replace_part(i, q)
@@ -252,13 +253,26 @@ def test_replace_part_matches_remove_then_combine():
                 got = p.replace_part(i, q)
                 assert got == combine(remove_part(p, i), q), (p, i, q)
                 assert_well_formed(got)
-                seen["trimmed"] += got.max_part < max(p.max_part, q.max_part)
-                seen["longer"] += q.max_part > p.max_part
+                seen["trimmed"] += got.max_part < p.max_part
                 seen["shorter"] += 0 < q.max_part < p.max_part
                 seen["empty"] += q.is_empty
     assert all(seen.values()), seen
     with pytest.raises(ValueError):
         Partition([1]).replace_part(0, EMPTY)
+
+
+def test_replace_part_refuses_a_part_of_other_at_or_above_i():
+    for p in SMALL:
+        for q in SMALL:
+            for i in range(1, min(q.max_part, p.max_part) + 1):
+                if p.multiplicity(i):
+                    with pytest.raises(ValueError, match="below it"):
+                        p.replace_part(i, q)
+
+
+def test_weight_matches_the_generator_expression():
+    for p in [p for wt in range(13) for p in enumerate_partitions(wt)]:  # holds SMALL
+        assert p.weight == sum((i + 1) * v for i, v in enumerate(p.mults)), p
 
 
 def test_combine_matches_the_validating_route():
