@@ -5,10 +5,11 @@ the generators of all its steps, counted before any is enumerated, a term-dict
 product its pair count, a group product or inverse one unit per layer, a
 commutator the keys it yields, a candidate sweep its candidates and an orbit
 grid its act calls.  An idealizer test charges the brackets it took right after,
-since it stops at the first escape.  The units do not depend on the machine,
-so neither does a refusal.  Charges count only inside a ``WorkBudget``
-block, which ``cli.main`` opens around each command; library callers run
-without a limit.
+since it stops at the first escape.  A verdict walks the members of its
+closure in an order fixed by their keys, so its units depend only on those
+keys.  The units do not depend on the machine, so neither does a refusal.
+Charges count only inside a ``WorkBudget`` block, which ``cli.main`` opens
+around each command; library callers run without a limit.
 """
 
 from __future__ import annotations

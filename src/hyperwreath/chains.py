@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .budget import charge
 from .liering import LieKey, bracket_keys
 from .ordinals import OrdinalCNF
-from .partitions import EMPTY, Partition, check_layer, enumerate_partitions, seq_at, sequences_abc
+from .partitions import EMPTY, Frozen, Partition, check_layer, enumerate_partitions, seq_at, sequences_abc
 from .polyring import Poly, monomial_text
 from .wreath import GroupElement, MonomialElement, comm_formula
 
@@ -65,24 +64,40 @@ def render_key(key: LieKey) -> str:
 # -- saturated sets ----------------------------------------------------------
 
 
-class _KeyIndex:
-    """A set of Lie keys indexed by layer and by part, so that a key visits
-    only the members it has a nontrivial commutator with."""
+class SaturatedSet(Frozen):
+    """A weight-bounded closure: a finite basis of monic monomials
+    ``x^lam Delta_k`` of ``W_n``, given by their keys ``(lam, k)``, indexed by
+    layer and by part so that a key visits only the members it has a
+    nontrivial commutator with.
 
-    def __init__(self, keys: Iterable[LieKey]):
-        self.keys: Set[LieKey] = set()
-        self.by_layer: Dict[int, List[LieKey]] = defaultdict(list)
-        self.by_part: Dict[int, List[LieKey]] = defaultdict(list)
-        for key in keys:
-            self.add(key)
+    ``closure_bound`` is the admitted weight and ``discards`` counts the
+    constituents dropped against it.  The index lists its members in the order
+    of ``(k, lam.mults)``, so ``partners``, and the units a verdict charges,
+    depend only on the keys.
+    """
 
-    def add(self, key: LieKey) -> None:
-        lam, k = key
-        self.keys.add(key)
-        self.by_layer[k].append(key)
-        for part, mult in enumerate(lam.mults, 1):
-            if mult:
-                self.by_part[part].append(key)
+    __slots__ = ("n", "keys", "closure_bound", "discards", "by_layer", "by_part")
+
+    def __init__(self, n: int, keys: Iterable[LieKey], closure_bound: int, discards: int = 0):
+        keys = frozenset(keys)
+        by_layer: Dict[int, List[LieKey]] = {}
+        by_part: Dict[int, List[LieKey]] = {}
+        for key in sorted(keys, key=lambda b: (b[1], b[0].mults)):
+            lam, k = key
+            check_layer(k, n, lam.max_part)
+            by_layer.setdefault(k, []).append(key)
+            for part, mult in enumerate(lam.mults, 1):
+                if mult:
+                    by_part.setdefault(part, []).append(key)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "closure_bound", closure_bound)
+        object.__setattr__(self, "discards", discards)
+        object.__setattr__(self, "by_layer", by_layer)
+        object.__setattr__(self, "by_part", by_part)
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
     def partners(self, key: LieKey) -> Iterator[LieKey]:
         """Members ``(theta, u)`` meeting ``(lam, k)``: the lower layers ``u``
@@ -93,32 +108,6 @@ class _KeyIndex:
             if mult:
                 yield from self.by_layer.get(u, ())
         yield from self.by_part.get(k, ())
-
-
-@dataclass(frozen=True)
-class SaturatedSet:
-    """A weight-bounded closure: a finite basis of monic monomials
-    ``x^lam Delta_k`` of ``W_n``, given by their keys ``(lam, k)``.
-
-    ``closure_bound`` is the admitted weight and ``discards`` counts the
-    constituents dropped against it.
-    """
-
-    n: int
-    keys: FrozenSet[LieKey]
-    closure_bound: int
-    discards: int = 0
-
-    def __post_init__(self):
-        for lam, k in self.keys:
-            check_layer(k, self.n, lam.max_part)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    @cached_property
-    def _index(self) -> _KeyIndex:
-        return _KeyIndex(self.keys)
 
 
 # -- generator enumeration -----------------------------------------------------
@@ -491,37 +480,34 @@ def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> Saturate
     taking the monic parts of commutator constituents, up to the weight bound.
 
     Constituents heavier than the bound are discarded and counted; a nonzero
-    discard count marks the closure as potentially incomplete.  The iteration
-    cap only guards against a runaway loop; the set is finite by the bound.
+    discard count marks the closure as potentially incomplete.  Members grow
+    only between rounds, so each round walks the partners of its frontier in
+    one ``SaturatedSet`` of the members so far.  The loop ends: each round
+    adds keys of weight up to the bound, of which there are finitely many, or
+    is the last.
     """
-    members = _KeyIndex(gens)
-    if members.keys and wt_bound < max(lam.weight for lam, _ in members.keys):
+    members = frozenset(gens)
+    if members and wt_bound < max(lam.weight for lam, _ in members):
         raise ValueError("wt_bound is below the heaviest generator")
     discarded: Set[LieKey] = set()
-    frontier = set(members.keys)
-    rounds = 0
+    frontier = members
     while frontier:
-        rounds += 1
-        if rounds > 10_000:
-            raise RuntimeError("closure did not stabilize; bound too small?")
+        closure = SaturatedSet(n, members, wt_bound)
         new: Set[LieKey] = set()
         for a in frontier:
             # the reversed commutator is the inverse and has the same
             # monic constituents, so one order suffices
-            for b in members.partners(a):
+            for b in closure.partners(a):
                 for key in constituent_keys(a, b):
-                    if key in members.keys or key in new:
+                    if key in members or key in new:
                         continue
                     if key[0].weight > wt_bound:
                         discarded.add(key)
                     else:
                         new.add(key)
-        for key in new:
-            members.add(key)
+        members = members.union(new)
         frontier = new
-    return SaturatedSet(
-        n=n, keys=frozenset(members.keys), closure_bound=wt_bound, discards=len(discarded)
-    )
+    return SaturatedSet(n, members, wt_bound, len(discarded))
 
 
 # -- normalizer / idealizer verification ----------------------------------------
@@ -538,11 +524,10 @@ def normalizes(key: LieKey, H: SaturatedSet) -> Optional[bool]:
     not decidable at this bound and yields None ("unknown").
     """
     check_layer(key[1], H.n, key[0].max_part)
-    index = H._index
     any_unknown = False
-    for other in index.partners(key):
+    for other in H.partners(key):
         for out in constituent_keys(key, other):
-            if out in index.keys:
+            if out in H.keys:
                 continue
             if H.discards > 0:
                 return None  # no escape can be conclusive against a lossy basis
@@ -560,11 +545,13 @@ def idealizes(key: LieKey, H: SaturatedSet) -> bool:
 
     Only the partners of ``key`` in ``H`` are visited: by the layer rule the
     bracket with any other member is zero, as ``bracket_keys`` takes a
-    derivative along the lower layer.
+    derivative along the lower layer.  Like ``normalizes``, it refuses a key
+    outside ``W_n``, for which that walk would not be exact.
     """
+    check_layer(key[1], H.n, key[0].max_part)
     h_keys = H.keys
     verdict, calls = True, 0
-    for calls, other in enumerate(H._index.partners(key), 1):
+    for calls, other in enumerate(H.partners(key), 1):
         coeff, out = bracket_keys(key, other)
         if coeff != 0 and out not in h_keys:
             verdict = False

@@ -570,7 +570,7 @@ def assert_mirror_matches_full_walk(closure, bound):
             verdict = idealizes(b, closure)
         assert verdict == idealizes_full_walk(b, closure.keys), b
         if verdict:  # a passing key took the bracket with each partner
-            assert budget.limit - budget.left == sum(1 for _ in closure._index.partners(b))
+            assert budget.limit - budget.left == sum(1 for _ in closure.partners(b))
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -580,12 +580,56 @@ def test_idealizes_matches_the_full_walk_on_step_closures(n, i):
     assert_mirror_matches_full_walk(*step_closure(n, i))
 
 
+def bounded_closure():
+    """A closure with discards, checked against candidates up to weight 6."""
+    return saturated_closure([key([2, 2], 3), key([1, 1, 1], 2)], 4, n=3)
+
+
 def test_idealizes_matches_the_full_walk_on_lossy_and_bounded_closures():
-    bounded = saturated_closure([key([2, 2], 3), key([1, 1, 1], 2)], 4, n=3)
+    bounded = bounded_closure()
     assert bounded.discards > 0
     assert_mirror_matches_full_walk(bounded, 6)
     lossy = SaturatedSet(n=3, keys=enumerate_N(0, 3), closure_bound=6, discards=1)
     assert_mirror_matches_full_walk(lossy, 6)
+
+
+def histories(keys):
+    """The keys ``keys`` sorted, reversed, and as a set grown one key at a time."""
+    keys = sorted(keys, key=repr)
+    grown = set()
+    for b in keys[1::2] + keys[::2]:
+        grown.add(b)
+    return [keys, keys[::-1], grown]
+
+
+def assert_units_do_not_depend_on_insertion_order(H, bound):
+    """``H``'s keys, as a ``SaturatedSet`` built from each of their
+    ``histories``, give the same partners and charge the same units for
+    ``normalizes`` and ``idealizes`` over the candidates."""
+    sets = [SaturatedSet(H.n, h, H.closure_bound, H.discards) for h in histories(H.keys)]
+    candidates = list(candidate_keys(H.n, bound))
+    for b in candidates:
+        assert len({tuple(s.partners(b)) for s in sets}) == 1, b
+    units = set()
+    for s in sets:
+        with WorkBudget() as budget:
+            for b in candidates:
+                normalizes(b, s)
+                idealizes(b, s)
+        units.add(budget.limit - budget.left)
+    assert len(units) == 1
+
+
+@pytest.mark.parametrize("n, i", [(4, 12), (5, 8), (7, 5)])
+def test_verdict_units_do_not_depend_on_insertion_order(n, i):
+    closure, bound = step_closure(n, i)
+    # the histories iterate in three orders, so a walk in set order would differ
+    assert len({tuple(frozenset(h)) for h in histories(closure.keys)}) == 3
+    assert_units_do_not_depend_on_insertion_order(closure, bound)
+
+
+def test_verdict_units_do_not_depend_on_insertion_order_on_a_bounded_closure():
+    assert_units_do_not_depend_on_insertion_order(bounded_closure(), 6)
 
 
 def test_center_membership_examples():

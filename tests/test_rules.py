@@ -3,6 +3,7 @@ other integer arguments, and immutability."""
 
 import pytest
 
+from hyperwreath.chains import SaturatedSet, enumerate_N, idealizes, normalizes, saturated_closure
 from hyperwreath.liering import LieElement, parse_lie
 from hyperwreath.ordinals import OrdinalCNF, tdeg_of_monomial
 from hyperwreath.partitions import EMPTY, Partition, check_layer
@@ -27,6 +28,11 @@ def text(top):
     return f"x{top}" if top else "1"
 
 
+def closure():
+    """The closure of the step 0 generators at n = N, up to weight 4."""
+    return saturated_closure(enumerate_N(0, N), 4, N)
+
+
 # entry point -> call with layer k and highest variable index or part ``top``, at n = N
 ENTRIES = {
     "MonomialElement": lambda k, top: MonomialElement(1, lam(top), k, N),
@@ -37,6 +43,9 @@ ENTRIES = {
     "parse_lie": lambda k, top: parse_lie(f"{text(top)} d{k}", N),
     # the increment along x_k sits in layer k of W_k, so there is no layer n + 1
     "Poly.difference": lambda k, top: Poly.variable(1).difference(k, poly(top)),
+    "SaturatedSet": lambda k, top: SaturatedSet(N, [(EMPTY, 1), (lam(top), k)], 4),
+    "normalizes": lambda k, top: normalizes((lam(top), k), closure()),
+    "idealizes": lambda k, top: idealizes((lam(top), k), closure()),
 }
 
 BAD = {"layer 0": (0, 0), "layer n+1": (N + 1, 0), "top = k": (2, 2)}
@@ -88,6 +97,7 @@ VALUES = {
     "GroupElement": lambda: GroupElement.delta(1, 2),
     "LieElement": lambda: LieElement.basis(EMPTY, 1, 2),
     "RegularFamily": lambda: make_family(1, 2),
+    "SaturatedSet": lambda: saturated_closure(enumerate_N(0, 2), 4, 2),
 }
 
 
