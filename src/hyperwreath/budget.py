@@ -20,8 +20,9 @@ from typing import Optional
 # Units one command may charge.  It admits the heaviest product the README
 # shows, [x1 + 1]D2 * [x2^140]D3 (1,401,551 units).  On a 2-vCPU VM under
 # Python 3.11, calc spends about 0.8 million units a second and verify
-# --suite chain 0.6-5 million, so either refuses a runaway run within about
-# two seconds.
+# --suite chain 0.4-2.6 million (--n 4 --imax 40: 490,320 units in 0.7 s),
+# so either refuses a runaway run within about two seconds (verify --suite
+# chain --n 4 --imax 120, which needs about 19.9 million units, in 2.2 s).
 LIMIT = 1_500_000
 
 

@@ -482,17 +482,18 @@ def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> Saturate
     Constituents heavier than the bound are discarded and counted; a nonzero
     discard count marks the closure as potentially incomplete.  Members grow
     only between rounds, so each round walks the partners of its frontier in
-    one ``SaturatedSet`` of the members so far.  The loop ends: each round
-    adds keys of weight up to the bound, of which there are finitely many, or
-    is the last.
+    one ``SaturatedSet`` of the members so far, and the round that adds none
+    has walked the set that is returned.  The loop ends: each round adds keys
+    of weight up to the bound, of which there are finitely many, or is the
+    last.
     """
     members = frozenset(gens)
     if members and wt_bound < max(lam.weight for lam, _ in members):
         raise ValueError("wt_bound is below the heaviest generator")
+    closure = SaturatedSet(n, members, wt_bound)
     discarded: Set[LieKey] = set()
     frontier = members
     while frontier:
-        closure = SaturatedSet(n, members, wt_bound)
         new: Set[LieKey] = set()
         for a in frontier:
             # the reversed commutator is the inverse and has the same
@@ -505,9 +506,13 @@ def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> Saturate
                         discarded.add(key)
                     else:
                         new.add(key)
-        members = members.union(new)
+        if new:
+            members = members.union(new)
+            closure = SaturatedSet(n, members, wt_bound)
         frontier = new
-    return SaturatedSet(n, members, wt_bound, len(discarded))
+    # the set has not left this function yet: setting its count still builds it
+    object.__setattr__(closure, "discards", len(discarded))
+    return closure
 
 
 # -- normalizer / idealizer verification ----------------------------------------
@@ -568,32 +573,79 @@ def center_membership(g: GroupElement, alpha: OrdinalCNF) -> bool:
 # -- normalizer step verification --------------------------------------------------
 
 
-def candidate_keys(n: int, wt_bound: int) -> Iterator[LieKey]:
-    """Keys of all monic monomials of weight up to the bound, every layer, one
-    at a time.
+def candidate_count(n: int, wt_bound: int) -> int:
+    """The number of keys of all monic monomials of weight up to the bound,
+    every layer, charged before the count is taken.
 
-    Their number is charged before the first is built.  Every layer above the
-    first has the candidate ``1^w`` of each weight; that many are charged
-    first, and they also pay for counting the rest, one pass per layer over a
-    table of ``wt_bound + 1`` entries.  The partitions of each weight are
-    enumerated once, with parts below the top layer, and layer k takes those
-    whose top part is below k, in the same order.
+    Every layer above the first has the candidate ``1^w`` of each weight;
+    that many are charged first, and they also pay for counting the rest, one
+    pass per layer over a table of ``wt_bound + 1`` entries: after the pass
+    for part p it holds the partitions of each weight into parts up to p,
+    the candidates of layer p + 1.
     """
     least = (n - 1) * (wt_bound + 1) + 1
     charge(least)
-    ways = [1] + [0] * wt_bound  # partitions of each weight into parts below the layer
+    ways = [1] + [0] * wt_bound
     count = 1
     for part in range(1, n):
         for w in range(part, wt_bound + 1):
             ways[w] += ways[w - part]
         count += sum(ways)
     charge(count - least)
+    return count
+
+
+def candidate_keys(n: int, wt_bound: int) -> Iterator[LieKey]:
+    """Keys of all monic monomials of weight up to the bound, every layer, one
+    at a time, ordered by layer, weight and multiplicities.
+
+    Their number is charged by ``candidate_count`` before the first is built.
+    The partitions of each weight are enumerated once, with parts below the
+    top layer, and layer k takes those whose top part is below k, in the same
+    order.
+    """
+    candidate_count(n, wt_bound)
     by_weight = [enumerate_partitions(w, n - 1) for w in range(wt_bound + 1)]
     for k in range(1, n + 1):
         for lams in by_weight:
             for lam in lams:
                 if len(lam.mults) < k:
                     yield lam, k
+
+
+def witness_survivors(closure: SaturatedSet, target: Iterable[LieKey]) -> List[LieKey]:
+    """The candidates, in ``candidate_keys`` order, that the translation
+    witness does not refute against a closure holding every ``(EMPTY, u)``:
+    each ``(EMPTY, k)``, each key whose one-part removals are all in the
+    closure, and each key of ``target`` within the bound.
+
+    A part u of ``lam`` gives ``[x^lam D_k, D_u]`` the constituent
+    ``(lam - e_u, k)``, the s = 1 term of ``constituent_keys``, and
+    ``bracket_keys`` gives the same key with coefficient ``mult_u(lam)``.  It
+    is lighter than ``(lam, k)``, so when it is not in a closure without
+    discards, both verdicts are ``False``.  A surviving ``lam`` is
+    ``mu + e_u`` for its top part u and a member ``(mu, k)``, so it is built
+    once, from that member, and its other removals are looked up by
+    multiplicities; the members and the bound limit that to at most one build
+    per candidate, which ``candidate_count`` has charged.
+    """
+    bound = closure.closure_bound
+    found = {b for b in target if b[0].weight <= bound}
+    for k, members in closure.by_layer.items():
+        held = {mu.mults for mu, _ in members}
+        found.add((EMPTY, k))
+        for mu, _ in members:
+            m = mu.mults
+            top = len(m)
+            for u in range(max(top, 1), min(k - 1, bound - mu.weight) + 1):
+                lam = m[:-1] + (m[-1] + 1,) if u == top else m + (0,) * (u - top - 1) + (1,)
+                if all(
+                    lam[:v - 1] + (c - 1,) + lam[v:] in held
+                    for v, c in enumerate(lam[:u - 1], 1)
+                    if c
+                ):
+                    found.add((Partition._of(lam), k))
+    return sorted(found, key=lambda b: (b[1], b[0].weight, b[0].mults))
 
 
 @dataclass
@@ -632,11 +684,27 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
         # from n = 8 on, the first generators are heavier than 2 * (i + 2)
         wt_bound = max(2 * (i + 2), heaviest_generator_weight(i - 1, n))
     closure = saturated_closure(prev, wt_bound, n=n)
-    target = prev.union(_new_keys(i, n))
+    return check_candidates(i, closure, prev.union(_new_keys(i, n)))
+
+
+def check_candidates(i: int, closure: SaturatedSet, target: FrozenSet[LieKey]) -> ChainStepCheck:
+    """The step-i check of every candidate up to the closure's bound against
+    ``closure``: ``target`` should be exactly the candidates that normalize
+    it, and the idealizer verdict should equal the normalizer verdict.
+
+    On a closure without discards only the ``witness_survivors`` get the two
+    verdicts, in ``candidate_keys`` order; every other candidate is refuted
+    on both sides by a translation generator and counts as a checked
+    outsider.  On a lossy closure an escape gives ``None``, not ``False``, so
+    every candidate gets its verdicts.  Either way every candidate is charged
+    before the first verdict.  A closure without discards must hold every
+    translation generator ``(EMPTY, u)``, as the closure of a chain step does.
+    """
+    n = closure.n
     step = ChainStepCheck(
         n=n,
         i=i,
-        wt_bound=wt_bound,
+        wt_bound=closure.closure_bound,
         closure_size=len(closure),
         closure_discards=closure.discards,
         members_checked=0,
@@ -646,7 +714,16 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
         unknowns=[],
         mirror_disagreements=[],
     )
-    for key in candidate_keys(n, wt_bound):
+    if closure.discards:
+        keys: Iterable[LieKey] = candidate_keys(n, closure.closure_bound)
+        refuted = 0
+    else:
+        if not all((EMPTY, u) in closure.keys for u in range(1, n + 1)):
+            raise ValueError("the closure lacks a translation generator (EMPTY, u)")
+        count = candidate_count(n, closure.closure_bound)
+        keys = witness_survivors(closure, target)
+        refuted = count - len(keys)
+    for key in keys:
         verdict = normalizes(key, closure)
         if verdict is None:
             step.unknowns.append(render_key(key))
@@ -666,4 +743,5 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
             step.outsiders_checked += 1
             if verdict:
                 step.outsider_passes.append(render_key(key))
+    step.outsiders_checked += refuted
     return step

@@ -14,9 +14,11 @@ from hyperwreath.chains import (
     _increment_shapes,
     ChainReport,
     ChainRow,
+    ChainStepCheck,
     _new_keys,
     candidate_keys,
     center_membership,
+    check_candidates,
     check_chain_step,
     comm_constituents,
     constituent_keys,
@@ -33,6 +35,7 @@ from hyperwreath.chains import (
     saturated_closure,
     verify_growth,
     wdd,
+    witness_survivors,
 )
 from hyperwreath.liering import bracket_keys
 from hyperwreath.ordinals import ONE, OrdinalCNF, tdeg_of_monomial
@@ -677,6 +680,119 @@ def test_chain_steps_are_pinned():
         "bb713d79f79d11bb0f85173088525e5faa50565d9fc78d6c85b02dab764ab91c"
     )
 
+
+# -- the witness-pruned sweep against the full sweep --------------------------------
+
+
+def full_sweep(i, closure, target):
+    """``check_candidates`` with both verdicts for every candidate of
+    ``candidate_keys``, as the chain step was checked before the translation
+    witness decided most candidates."""
+    step = ChainStepCheck(
+        n=closure.n,
+        i=i,
+        wt_bound=closure.closure_bound,
+        closure_size=len(closure),
+        closure_discards=closure.discards,
+        members_checked=0,
+        outsiders_checked=0,
+        member_failures=[],
+        outsider_passes=[],
+        unknowns=[],
+        mirror_disagreements=[],
+    )
+    for b in candidate_keys(closure.n, closure.closure_bound):
+        verdict = normalizes(b, closure)
+        if verdict is None:
+            step.unknowns.append(render_key(b))
+            continue
+        if verdict:
+            step.group_passes += 1
+        lie_verdict = idealizes(b, closure)
+        if lie_verdict:
+            step.lie_passes += 1
+        if lie_verdict != verdict:
+            step.mirror_disagreements.append(render_key(b))
+        if b in target:
+            step.members_checked += 1
+            if not verdict:
+                step.member_failures.append(render_key(b))
+        else:
+            step.outsiders_checked += 1
+            if verdict:
+                step.outsider_passes.append(render_key(b))
+    return step
+
+
+def test_chain_steps_match_the_full_sweep():
+    for n in range(2, 9):
+        for i in range(1, 9):
+            closure, _ = step_closure(n, i)
+            assert closure.discards == 0  # so check_chain_step takes the pruned route
+            target = enumerate_N(i - 1, n).union(_new_keys(i, n))
+            assert check_chain_step(n, i) == full_sweep(i, closure, target), (n, i)
+
+
+def removals_held(b, closure):
+    """Whether every one-part removal of the key ``b`` is in ``closure``."""
+    m, k = b[0].mults, b[1]
+    return all(
+        (Partition(m[:v - 1] + (c - 1,) + m[v:]), k) in closure.keys
+        for v, c in enumerate(m, 1)
+        if c
+    )
+
+
+def test_candidates_the_witness_rejects_fail_both_verdicts():
+    rejected = 0
+    for n in range(2, 7):
+        for i in range(1, 7):
+            closure, bound = step_closure(n, i)
+            survivors = witness_survivors(closure, ())
+            candidates = list(candidate_keys(n, bound))
+            # the survivors are the candidates whose removals are all held, in order
+            assert survivors == [b for b in candidates if removals_held(b, closure)], (n, i)
+            kept = set(survivors)
+            for b in candidates:
+                if b not in kept:
+                    assert normalizes(b, closure) is False, (n, i, b)
+                    assert idealizes(b, closure) is False, (n, i, b)
+                    rejected += 1
+    assert rejected > 1000
+
+
+def test_witness_survivors_keep_every_target_key_within_the_bound():
+    closure, bound = step_closure(4, 3)
+    outsider, heavy = key([1] * 5, 4), key([3] * 5, 4)
+    assert not removals_held(outsider, closure)
+    survivors = witness_survivors(closure, {outsider, heavy})
+    assert outsider in survivors and heavy not in survivors and heavy[0].weight > bound
+    assert survivors == [b for b in candidate_keys(4, bound) if b in set(survivors)]
+
+
+def test_a_lossy_closure_takes_the_full_sweep():
+    gens = enumerate_N(-1, 3).union([key([1, 1, 1], 2), key([2, 2], 3)])
+    closure = saturated_closure(gens, 4, n=3)
+    assert (len(closure), closure.discards) == (14, 3)
+    assert check_candidates(1, closure, closure.keys) == full_sweep(1, closure, closure.keys)
+    # on a lossy basis an escape is unknown: the witness would call this one refuted
+    lossy = SaturatedSet(n=3, keys=enumerate_N(0, 3), closure_bound=6, discards=1)
+    refuted = key([1, 1, 1], 3)
+    assert refuted not in witness_survivors(lossy, ()) and normalizes(refuted, lossy) is None
+    step = check_candidates(1, lossy, enumerate_N(1, 3))
+    assert step == full_sweep(1, lossy, enumerate_N(1, 3))
+    assert render_key(refuted) in step.unknowns
+
+
+def test_the_pruned_sweep_needs_every_translation_generator():
+    closure = SaturatedSet(3, enumerate_N(0, 3) - {key([], 2)}, 6)
+    with pytest.raises(ValueError, match="translation generator"):
+        check_candidates(1, closure, enumerate_N(1, 3))
+
+
+def test_closure_of_no_generators_is_empty():
+    closed = saturated_closure([], 3, n=3)
+    assert (len(closed), closed.discards) == (0, 0)
 
 def test_comm_constituents_match_group_commutator():
     from hyperwreath.wreath import comm

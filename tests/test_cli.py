@@ -206,9 +206,9 @@ def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
 
 @pytest.mark.parametrize("argv, units", [
     ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 946),
-    ("verify --suite chain --n 5 --imax 8", 32_134),
+    ("verify --suite chain --n 5 --imax 8", 10_389),
     ("chain --n 8 --imax 60 --format json", 1352),
-    ("verify --suite chain --n 3 --imax 10 --wt-bound 100", 990_793),
+    ("verify --suite chain --n 3 --imax 10 --wt-bound 100", 29_943),
 ])
 def test_commands_charge_pinned_units(capsys, monkeypatch, argv, units):
     monkeypatch.setattr(budget, "LIMIT", units)
