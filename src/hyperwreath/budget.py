@@ -20,9 +20,9 @@ from typing import Optional
 # Units one command may charge.  It admits the heaviest product the README
 # shows, [x1 + 1]D2 * [x2^140]D3 (1,401,551 units).  On a 2-vCPU VM under
 # Python 3.11, calc spends about 0.8 million units a second and verify
-# --suite chain 0.4-2.6 million (--n 4 --imax 40: 490,320 units in 0.7 s),
+# --suite chain 0.5-2.4 million (--n 4 --imax 40: 394,360 units in 0.5 s),
 # so either refuses a runaway run within about two seconds (verify --suite
-# chain --n 4 --imax 120, which needs about 19.9 million units, in 2.2 s).
+# chain --n 4 --imax 120, which needs 17,415,089 units, in 1.8 s).
 LIMIT = 1_500_000
 
 

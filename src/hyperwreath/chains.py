@@ -1,6 +1,6 @@
 """Normalizer chain machinery: level functions, generator enumeration,
-saturated closures, bounded normalizer/idealizer verification, the central
-series oracle and the growth law.
+saturated closures, bounded normalizer/idealizer checks of each step against
+the previous generator set itself, the central series oracle, the growth law.
 
 The chain starts from the translation subgroup generated by the unit
 constants of every layer.  Generator sets are enumerated from the level
@@ -65,15 +65,15 @@ def render_key(key: LieKey) -> str:
 
 
 class SaturatedSet(Frozen):
-    """A weight-bounded closure: a finite basis of monic monomials
-    ``x^lam Delta_k`` of ``W_n``, given by their keys ``(lam, k)``, indexed by
-    layer and by part so that a key visits only the members it has a
-    nontrivial commutator with.
+    """A weight-bounded saturated basis, such as a chain step's generator set
+    or a closure: monic monomials ``x^lam Delta_k`` of ``W_n``, given by their
+    keys ``(lam, k)``, indexed by layer and by part so that a key visits only
+    the members it has a nontrivial commutator with.
 
     ``closure_bound`` is the admitted weight and ``discards`` counts the
-    constituents dropped against it.  The index lists its members in the order
-    of ``(k, lam.mults)``, so ``partners``, and the units a verdict charges,
-    depend only on the keys.
+    constituents a closure dropped against it.  The index lists its members in
+    the order of ``(k, lam.mults)``, so ``partners``, and the units a verdict
+    charges, depend only on the keys.
     """
 
     __slots__ = ("n", "keys", "closure_bound", "discards", "by_layer", "by_part")
@@ -483,9 +483,9 @@ def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> Saturate
     discard count marks the closure as potentially incomplete.  Members grow
     only between rounds, so each round walks the partners of its frontier in
     one ``SaturatedSet`` of the members so far, and the round that adds none
-    has walked the set that is returned.  The loop ends: each round adds keys
-    of weight up to the bound, of which there are finitely many, or is the
-    last.
+    has walked the keys that are returned.  The loop ends: each round adds
+    keys of weight up to the bound, of which there are finitely many, or is
+    the last.
     """
     members = frozenset(gens)
     if members and wt_bound < max(lam.weight for lam, _ in members):
@@ -510,9 +510,7 @@ def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> Saturate
             members = members.union(new)
             closure = SaturatedSet(n, members, wt_bound)
         frontier = new
-    # the set has not left this function yet: setting its count still builds it
-    object.__setattr__(closure, "discards", len(discarded))
-    return closure
+    return SaturatedSet(n, members, wt_bound, len(discarded))
 
 
 # -- normalizer / idealizer verification ----------------------------------------
@@ -676,29 +674,33 @@ class ChainStepCheck:
 
 def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainStepCheck:
     """Verify one normalizer step: the step-i generators are exactly the
-    bounded monomials normalizing the closure of the previous step, and the
-    Lie-side idealizer test mirrors every verdict.
+    bounded monomials normalizing the span of the step i - 1 generators, and
+    the Lie-side idealizer test mirrors every verdict.
+
+    The basis is that set, not its closure: each member gets a verdict that
+    walks the pairs a closure round would, so a set not closed fails the step.
     """
     prev = enumerate_N(i - 1, n)
+    floor = heaviest_generator_weight(i - 1, n)
     if wt_bound is None:
         # from n = 8 on, the first generators are heavier than 2 * (i + 2)
-        wt_bound = max(2 * (i + 2), heaviest_generator_weight(i - 1, n))
-    closure = saturated_closure(prev, wt_bound, n=n)
-    return check_candidates(i, closure, prev.union(_new_keys(i, n)))
+        wt_bound = max(2 * (i + 2), floor)
+    elif wt_bound < floor:
+        raise ValueError("wt_bound is below the heaviest generator")
+    return check_candidates(i, SaturatedSet(n, prev, wt_bound), prev.union(_new_keys(i, n)))
 
 
 def check_candidates(i: int, closure: SaturatedSet, target: FrozenSet[LieKey]) -> ChainStepCheck:
-    """The step-i check of every candidate up to the closure's bound against
+    """The step-i check of every candidate up to the bound of the basis
     ``closure``: ``target`` should be exactly the candidates that normalize
     it, and the idealizer verdict should equal the normalizer verdict.
 
-    On a closure without discards only the ``witness_survivors`` get the two
-    verdicts, in ``candidate_keys`` order; every other candidate is refuted
-    on both sides by a translation generator and counts as a checked
-    outsider.  On a lossy closure an escape gives ``None``, not ``False``, so
-    every candidate gets its verdicts.  Either way every candidate is charged
-    before the first verdict.  A closure without discards must hold every
-    translation generator ``(EMPTY, u)``, as the closure of a chain step does.
+    Only the ``witness_survivors`` get the two verdicts, in ``candidate_keys``
+    order; every other candidate is refuted on both sides by a translation
+    generator and counts as a checked outsider.  Every candidate is charged
+    before the first verdict.  The basis must hold every ``(EMPTY, u)``, as a
+    chain step's does, and have no discards: against a lossy basis an escape
+    is ``None``, not ``False``, so the witness would not be conclusive.
     """
     n = closure.n
     step = ChainStepCheck(
@@ -715,14 +717,11 @@ def check_candidates(i: int, closure: SaturatedSet, target: FrozenSet[LieKey]) -
         mirror_disagreements=[],
     )
     if closure.discards:
-        keys: Iterable[LieKey] = candidate_keys(n, closure.closure_bound)
-        refuted = 0
-    else:
-        if not all((EMPTY, u) in closure.keys for u in range(1, n + 1)):
-            raise ValueError("the closure lacks a translation generator (EMPTY, u)")
-        count = candidate_count(n, closure.closure_bound)
-        keys = witness_survivors(closure, target)
-        refuted = count - len(keys)
+        raise ValueError("the basis has discards, so no escape from it is conclusive")
+    if not all((EMPTY, u) in closure.keys for u in range(1, n + 1)):
+        raise ValueError("the basis lacks a translation generator (EMPTY, u)")
+    count = candidate_count(n, closure.closure_bound)
+    keys = witness_survivors(closure, target)
     for key in keys:
         verdict = normalizes(key, closure)
         if verdict is None:
@@ -743,5 +742,5 @@ def check_candidates(i: int, closure: SaturatedSet, target: FrozenSet[LieKey]) -
             step.outsiders_checked += 1
             if verdict:
                 step.outsider_passes.append(render_key(key))
-    step.outsiders_checked += refuted
+    step.outsiders_checked += count - len(keys)
     return step

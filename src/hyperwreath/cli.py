@@ -232,7 +232,7 @@ def _verify_config_error(suite: str, options: Dict[str, object]) -> Optional[str
     if "i_max" not in params:
         return None
     if "wt_bound" in options:
-        # the check saturated_closure makes on the generators of step --imax - 1
+        # check_chain_step's floor: the heaviest generator of step --imax - 1
         ns = (options["n"],) if "n" in options else params["ns"].default
         imax = options.get("imax", params["i_max"].default)
         floor = chains.heaviest_generator_weight(imax - 1, max(ns))

@@ -476,9 +476,10 @@ def test_closure_gains_commutator():
 
 
 def test_generator_sets_are_commutator_closed():
-    # each step's generator set is already a full saturated basis
-    for n in (2, 3, 4):
-        for i in range(-1, 5):
+    # each step's generator set is already a full saturated basis, which is
+    # why a chain step checks against it without closing it
+    for n in range(2, 9):
+        for i in range(-1, 13):
             base = enumerate_N(i, n)
             bound = max(2 * (i + 3), *(lam.weight for lam, _ in base))
             closed = saturated_closure(base, bound, n=n)
@@ -670,6 +671,13 @@ def test_chain_step_small():
     assert step.closure_discards == 0
 
 
+def test_chain_step_rejects_a_bound_below_the_previous_generators():
+    floor = heaviest_generator_weight(2, 4)
+    assert check_chain_step(4, 3, wt_bound=floor).ok
+    with pytest.raises(ValueError, match="below the heaviest generator"):
+        check_chain_step(4, 3, wt_bound=floor - 1)
+
+
 def test_chain_steps_are_pinned():
     # SHA-256 of the repr of every ChainStepCheck field for n = 2..7, i = 1..6,
     # recorded before partitions were built through Partition._of and replace_part
@@ -770,18 +778,27 @@ def test_witness_survivors_keep_every_target_key_within_the_bound():
     assert survivors == [b for b in candidate_keys(4, bound) if b in set(survivors)]
 
 
-def test_a_lossy_closure_takes_the_full_sweep():
+def test_check_candidates_refuses_a_lossy_basis():
     gens = enumerate_N(-1, 3).union([key([1, 1, 1], 2), key([2, 2], 3)])
     closure = saturated_closure(gens, 4, n=3)
     assert (len(closure), closure.discards) == (14, 3)
-    assert check_candidates(1, closure, closure.keys) == full_sweep(1, closure, closure.keys)
     # on a lossy basis an escape is unknown: the witness would call this one refuted
     lossy = SaturatedSet(n=3, keys=enumerate_N(0, 3), closure_bound=6, discards=1)
     refuted = key([1, 1, 1], 3)
     assert refuted not in witness_survivors(lossy, ()) and normalizes(refuted, lossy) is None
-    step = check_candidates(1, lossy, enumerate_N(1, 3))
-    assert step == full_sweep(1, lossy, enumerate_N(1, 3))
-    assert render_key(refuted) in step.unknowns
+    for basis in (closure, lossy):
+        with pytest.raises(ValueError, match="discards"):
+            check_candidates(1, basis, basis.keys)
+
+
+def test_a_basis_that_is_not_closed_fails_the_step():
+    # the commutator of x2 D3 and x1^2 D2 has the constituent x1^2 D3, which
+    # the basis lacks, so the verdicts of both members find the escape
+    basis = enumerate_N(0, 3) | {key([1, 1], 2)}
+    assert saturated_closure(basis, 6, n=3).keys - basis == {key([1, 1], 3)}
+    step = check_candidates(1, SaturatedSet(3, basis, 6), basis.union(_new_keys(1, 3)))
+    assert step.member_failures == ["[x1^2]D2", "[x2]D3"]
+    assert not step.ok
 
 
 def test_the_pruned_sweep_needs_every_translation_generator():

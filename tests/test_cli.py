@@ -165,7 +165,7 @@ def test_verify_unknown_suite(capsys):
         "chain --n 8 --imax 1001",
         "verify --suite chain --imax 99999999999999999999",
         "verify --suite chain --n 3 --imax 1001",
-        "verify --suite chain --n 4 --imax 40",
+        "verify --suite chain --n 4 --imax 120",
         "verify --suite chain --n 64 --imax 1",
         "verify --suite chain --n 28 --imax 1",
         "verify --suite chain --imax 1000",
@@ -206,9 +206,9 @@ def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
 
 @pytest.mark.parametrize("argv, units", [
     ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 946),
-    ("verify --suite chain --n 5 --imax 8", 10_389),
+    ("verify --suite chain --n 5 --imax 8", 8635),
     ("chain --n 8 --imax 60 --format json", 1352),
-    ("verify --suite chain --n 3 --imax 10 --wt-bound 100", 29_943),
+    ("verify --suite chain --n 3 --imax 10 --wt-bound 100", 29_003),
 ])
 def test_commands_charge_pinned_units(capsys, monkeypatch, argv, units):
     monkeypatch.setattr(budget, "LIMIT", units)
