@@ -13,14 +13,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .budget import charge
 from .liering import LieKey, bracket_keys
 from .ordinals import OrdinalCNF
-from .partitions import EMPTY, Frozen, Partition, check_layer, enumerate_partitions, seq_at, sequences_abc
+from .partitions import (EMPTY, Frozen, Partition, check_index, check_layer, enumerate_partitions,
+                         partition_counts, seq_at, sequences_abc)
 from .polyring import Poly, monomial_text
 from .wreath import GroupElement, MonomialElement, comm_formula
 
@@ -70,7 +70,8 @@ class SaturatedSet(Frozen):
     keys ``(lam, k)``, indexed by layer and by part so that a key visits only
     the members it has a nontrivial commutator with.
 
-    ``closure_bound`` is the admitted weight and ``discards`` counts the
+    ``closure_bound`` is the admitted weight, and a heavier key is refused:
+    this is the one place the bound rule is checked.  ``discards`` counts the
     constituents a closure dropped against it.  The index lists its members in
     the order of ``(k, lam.mults)``, so ``partners``, and the units a verdict
     charges, depend only on the keys.
@@ -85,6 +86,8 @@ class SaturatedSet(Frozen):
         for key in sorted(keys, key=lambda b: (b[1], b[0].mults)):
             lam, k = key
             check_layer(k, n, lam.max_part)
+            if lam.weight > closure_bound:
+                raise ValueError("wt_bound is below the heaviest generator")
             by_layer.setdefault(k, []).append(key)
             for part, mult in enumerate(lam.mults, 1):
                 if mult:
@@ -209,18 +212,6 @@ def heaviest_generator_weight(j: int, n: int) -> int:
     return 0 if j == -1 else max(j + 1, n - 1)
 
 
-@lru_cache(maxsize=None)
-def _boxed(m: int, d: int, b: int) -> int:
-    """Partitions of m >= 0 into at most d parts, each at most b, with d and
-    b already clipped to m: those without a part b, plus those with one."""
-    if m == 0:
-        return 1
-    if m > d * b:
-        return 0
-    rest = m - b
-    return _boxed(m, d, b - 1) + _boxed(rest, min(d - 1, rest), min(b, rest))
-
-
 def growth_counts(n: int, i: int) -> Dict[int, int]:
     """The number of keys step i >= 1 adds in each layer, counted without
     enumerating them.
@@ -228,12 +219,16 @@ def growth_counts(n: int, i: int) -> Dict[int, int]:
     Taking one from each of the d parts of a new key in layer k leaves a
     partition of m = D - n + k into at most d parts, each at most k - 2; the
     count sums these over the ``_increment_shapes`` of step i.  As
-    D < r_i <= n - 1, m is at most k - 2, so the part bound is m itself.
+    D < r_i <= n - 1, m <= r_i - 1 <= k - 2, so the part bound never binds,
+    and by conjugation the count is entry m of row ``min(d, m)`` of the
+    ``partition_counts`` table up to r_i - 1.
     """
+    top = r_func(i, n) - 1
+    rows = [row[:] for row in partition_counts(top, top)]
     counts = {k: 0 for k in range(1, n + 1)}
     for defect, d, k in _increment_shapes(i, n):
         m = defect - n + k
-        counts[k] += _boxed(m, min(d, m), m)
+        counts[k] += rows[min(d, m)][m]
     return counts
 
 
@@ -389,7 +384,7 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
         raise ValueError("i_max must be >= 1")
     for i in range(1, i_max + 1):
         charge(sum(growth_counts(n, i).values()))
-    _, b, c = sequences_abc(i_max + n + 2)
+    _, b, c = sequences_abc(n)  # read at indices up to r - 1 <= n - 2
     threshold = growth_threshold(n)
     report = ChainReport(n=n, i_max=i_max, threshold=threshold)
     tables: Dict[int, list] = {}
@@ -480,7 +475,8 @@ def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> Saturate
     taking the monic parts of commutator constituents, up to the weight bound.
 
     Constituents heavier than the bound are discarded and counted; a nonzero
-    discard count marks the closure as potentially incomplete.  Members grow
+    discard count marks the closure as potentially incomplete.  A generator
+    heavier than the bound is refused by ``SaturatedSet``.  Members grow
     only between rounds, so each round walks the partners of its frontier in
     one ``SaturatedSet`` of the members so far, and the round that adds none
     has walked the keys that are returned.  The loop ends: each round adds
@@ -488,8 +484,6 @@ def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> Saturate
     the last.
     """
     members = frozenset(gens)
-    if members and wt_bound < max(lam.weight for lam, _ in members):
-        raise ValueError("wt_bound is below the heaviest generator")
     closure = SaturatedSet(n, members, wt_bound)
     discarded: Set[LieKey] = set()
     frontier = members
@@ -577,18 +571,14 @@ def candidate_count(n: int, wt_bound: int) -> int:
 
     Every layer above the first has the candidate ``1^w`` of each weight;
     that many are charged first, and they also pay for counting the rest, one
-    pass per layer over a table of ``wt_bound + 1`` entries: after the pass
-    for part p it holds the partitions of each weight into parts up to p,
-    the candidates of layer p + 1.
+    pass per layer over a table of ``wt_bound + 1`` entries: row p of
+    ``partition_counts`` holds the partitions of each weight into parts up to
+    p, the candidates of layer p + 1, and row 0 is layer 1's ``(EMPTY, 1)``.
     """
+    check_index(wt_bound, 0, "wt_bound")
     least = (n - 1) * (wt_bound + 1) + 1
     charge(least)
-    ways = [1] + [0] * wt_bound
-    count = 1
-    for part in range(1, n):
-        for w in range(part, wt_bound + 1):
-            ways[w] += ways[w - part]
-        count += sum(ways)
+    count = sum(sum(ways) for ways in partition_counts(wt_bound, n - 1))
     charge(count - least)
     return count
 
@@ -681,12 +671,9 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
     walks the pairs a closure round would, so a set not closed fails the step.
     """
     prev = enumerate_N(i - 1, n)
-    floor = heaviest_generator_weight(i - 1, n)
     if wt_bound is None:
         # from n = 8 on, the first generators are heavier than 2 * (i + 2)
-        wt_bound = max(2 * (i + 2), floor)
-    elif wt_bound < floor:
-        raise ValueError("wt_bound is below the heaviest generator")
+        wt_bound = max(2 * (i + 2), heaviest_generator_weight(i - 1, n))
     return check_candidates(i, SaturatedSet(n, prev, wt_bound), prev.union(_new_keys(i, n)))
 
 
@@ -700,7 +687,8 @@ def check_candidates(i: int, closure: SaturatedSet, target: FrozenSet[LieKey]) -
     generator and counts as a checked outsider.  Every candidate is charged
     before the first verdict.  The basis must hold every ``(EMPTY, u)``, as a
     chain step's does, and have no discards: against a lossy basis an escape
-    is ``None``, not ``False``, so the witness would not be conclusive.
+    is ``None``, not ``False``, so the witness would not be conclusive.  Its
+    members lie within its bound, which ``SaturatedSet`` checks.
     """
     n = closure.n
     step = ChainStepCheck(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import count
 from operator import add, mul
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 
 class Frozen:
@@ -192,15 +192,25 @@ def enumerate_partitions(wt: int, max_part: Optional[int] = None) -> List[Partit
     return results
 
 
-def count_partitions(limit: int) -> List[int]:
-    """Partition numbers p(0..limit) by the standard coin-style DP."""
-    if limit < 0:
-        return []
-    ways = [0] * (limit + 1)
-    ways[0] = 1
-    for part in range(1, limit + 1):
+def partition_counts(limit: int, max_part: int) -> Iterator[List[int]]:
+    """For p = 0..max_part, the numbers of partitions of 0..limit into parts
+    at most p, by the coin-style DP: the package's one partition count.  It
+    yields one list, updated in place by the pass for each part, so a caller
+    that keeps a row copies it."""
+    check_index(limit, 0, "limit")
+    ways = [1] + [0] * limit
+    yield ways
+    for part in range(1, max_part + 1):
         for w in range(part, limit + 1):
             ways[w] += ways[w - part]
+        yield ways
+
+
+def count_partitions(limit: int) -> List[int]:
+    """Partition numbers p(0..limit): the last row of ``partition_counts``."""
+    if limit < 0:
+        return []
+    *_, ways = partition_counts(limit, limit)
     return ways
 
 

@@ -16,6 +16,7 @@ from hyperwreath.chains import (
     ChainRow,
     ChainStepCheck,
     _new_keys,
+    candidate_count,
     candidate_keys,
     center_membership,
     check_candidates,
@@ -236,13 +237,17 @@ def test_increments_match_the_direct_partition_route(n):
 @pytest.mark.parametrize("n", range(2, 14))
 def test_growth_counts_match_the_enumerated_increments(n):
     """``growth_counts`` and ``_new_keys`` read one bijection (lam <-> lam - 1^d),
-    so this checks only that they agree; the independent check of the keys is
-    ``test_increments_are_the_level_sets_less_earlier_members``."""
+    so the first check is only that they agree; the second counts each
+    shape's keys by ``partitions_into``, with no shift and no conjugation."""
     for i in range(1, oracle_steps(n) + 1):
         counts = {k: 0 for k in range(1, n + 1)}
         for _, k in _new_keys(i, n):
             counts[k] += 1
         assert growth_counts(n, i) == counts, (n, i)
+        direct = {k: 0 for k in range(1, n + 1)}
+        for defect, d, k in _increment_shapes(i, n):
+            direct[k] += len(partitions_into(defect + d - (n - k), d, k - 1))
+        assert direct == counts, (n, i)
 
 
 def tdeg_order(key):
@@ -801,6 +806,21 @@ def test_a_basis_that_is_not_closed_fails_the_step():
     assert not step.ok
 
 
+def test_a_basis_member_above_the_bound_is_refused():
+    # the verdicts are exact only against a basis within its bound: x1 D2
+    # above bound 0 would get no verdict, and at bound -1 every translation
+    # generator lies above it and would pass as an outsider
+    t3 = enumerate_N(-1, 3)
+    basis = t3 | {key([1], 2)}
+    for keys, bound in ((basis, 0), (t3, -1)):
+        with pytest.raises(ValueError, match="below the heaviest generator"):
+            SaturatedSet(3, keys, bound)
+        with pytest.raises(ValueError, match="below the heaviest generator"):
+            saturated_closure(keys, bound, n=3)
+    # at the floor every member gets a verdict
+    assert check_candidates(1, SaturatedSet(3, basis, 1), basis).members_checked == len(basis) == 4
+
+
 def test_the_pruned_sweep_needs_every_translation_generator():
     closure = SaturatedSet(3, enumerate_N(0, 3) - {key([], 2)}, 6)
     with pytest.raises(ValueError, match="translation generator"):
@@ -849,11 +869,22 @@ def charged(keys):
 
 
 def test_candidate_keys_match_the_per_layer_route():
-    for n in range(2, 9):
+    for n in range(1, 9):
         for bound in range(15):
             got, units = charged(candidate_keys(n, bound))
             assert (got, units) == charged(candidate_keys_per_layer(n, bound)), (n, bound)
-            assert units == len(got)
+            assert units == len(got) == candidate_count(n, bound)
+
+
+def test_candidate_count_refuses_a_negative_bound():
+    # a bound of -2 or lower would make the first charge negative
+    for bound in (-1, -2, -5):
+        with WorkBudget() as budget:
+            with pytest.raises(ValueError, match="wt_bound must be an int >= 0"):
+                candidate_count(3, bound)
+            with pytest.raises(ValueError, match="wt_bound must be an int >= 0"):
+                list(candidate_keys(3, bound))
+        assert budget.left == budget.limit
 
 
 def test_candidate_monomials_cover_all_layers():

@@ -13,6 +13,7 @@ from hyperwreath.partitions import (
     Partition,
     count_partitions,
     enumerate_partitions,
+    partition_counts,
     seq_at,
     sequences_abc,
 )
@@ -180,6 +181,18 @@ def test_counts_match_enumeration():
     a = count_partitions(12)
     for total in range(13):
         assert a[total] == len(enumerate_partitions(total, total))
+
+
+def test_partition_count_rows_match_enumeration():
+    # row p of the one table counts the partitions of each weight into parts
+    # at most p; the rows are copied, as the table updates one list in place
+    rows = [row[:] for row in partition_counts(20, 20)]
+    assert len(rows) == 21
+    for p, row in enumerate(rows):
+        assert row == [len(enumerate_partitions(w, p)) for w in range(21)], p
+    assert rows[-1] == count_partitions(20)
+    with pytest.raises(ValueError, match="limit"):
+        next(partition_counts(-1, 3))
 
 
 def test_prefix_sum_relations():
