@@ -8,6 +8,7 @@ grid its act calls.  An idealizer test charges the brackets it took right after,
 since it stops at the first escape.  A verdict walks the members of its
 closure in an order fixed by their keys, so its units depend only on those
 keys.  The units do not depend on the machine, so neither does a refusal.
+Powers of an unmoved variable are free: each is one monomial, not a product.
 Charges count only inside a ``WorkBudget`` block, which ``cli.main`` opens
 around each command; library callers run without a limit.
 """

@@ -224,7 +224,12 @@ def growth_counts(n: int, i: int) -> Dict[int, int]:
     ``partition_counts`` table up to r_i - 1.
     """
     top = r_func(i, n) - 1
-    rows = [row[:] for row in partition_counts(top, top)]
+    return _growth_counts(n, i, [row[:] for row in partition_counts(top, top)])
+
+
+def _growth_counts(n: int, i: int, rows: List[List[int]]) -> Dict[int, int]:
+    """``growth_counts(n, i)`` read from ``rows``, copied rows of a
+    ``partition_counts`` table up to at least r_i - 1."""
     counts = {k: 0 for k in range(1, n + 1)}
     for defect, d, k in _increment_shapes(i, n):
         m = defect - n + k
@@ -382,8 +387,9 @@ def verify_growth(n: int, i_max: int) -> ChainReport:
         raise ValueError("n must be >= 2")
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
+    rows = [row[:] for row in partition_counts(n - 2, n - 2)]  # r_i - 1 <= n - 2
     for i in range(1, i_max + 1):
-        charge(sum(growth_counts(n, i).values()))
+        charge(sum(_growth_counts(n, i, rows).values()))
     _, b, c = sequences_abc(n)  # read at indices up to r - 1 <= n - 2
     threshold = growth_threshold(n)
     report = ChainReport(n=n, i_max=i_max, threshold=threshold)

@@ -258,23 +258,47 @@ class PowerTable:
 
     ``_add_substituted`` substitutes through a table into a given term dict.
     Handing one table to several substitutions, such as the layers of one
-    group product, computes each power of each image once.
+    group product, computes each power of each image once.  An image is given
+    by its terms (``append``) or, as in a group product or inverse, as the
+    shifted variable ``x_{j+1} - f`` by the terms of ``f`` (``shift``).  A
+    shifted image is built only when a power of it is first used, and a power
+    of a bare variable (``f = 0``) is its one monomial, built with no term
+    product.
     """
 
-    __slots__ = ("_powers",)
+    __slots__ = ("_powers", "_moves")
 
     def __init__(self):
-        self._powers: List[List[Terms]] = []
+        # per image: None for a bare variable, else its powers so far
+        self._powers: List[Optional[List[Terms]]] = []
+        self._moves: Dict[int, Terms] = {}  # f of each shifted image not yet built
 
     def append(self, terms: Terms) -> None:
         """Append an image given by terms that are trimmed, nonzero and normalized."""
         self._powers.append([{(): 1}, terms])
 
+    def shift(self, terms: Terms) -> None:
+        """Append the image ``x_{j+1} - f``, where ``j`` images precede it and
+        ``terms``, trimmed and normalized, give ``f`` in x_1..x_j."""
+        if terms:
+            self._moves[len(self._powers)] = terms
+            self._powers.append([{(): 1}])
+        else:
+            self._powers.append(None)
+
     def power(self, j: int, e: int) -> Terms:
-        """Terms of image ``j`` (from 0) to the power ``e``; callers must not mutate them."""
+        """Terms of image ``j`` (from 0) to the power ``e >= 1``; callers must not mutate them."""
         powers = self._powers[j]
-        while len(powers) <= e:
-            powers.append(_mul_terms(powers[-1], powers[1]))
+        if powers is None:
+            return {(0,) * j + (e,): 1}
+        if len(powers) <= e:
+            if len(powers) == 1:
+                # x_{j+1} - f: the variable's exponent is longer than f's, so it never collides
+                image = {e2: -c for e2, c in self._moves.pop(j).items()}
+                image[(0,) * j + (1,)] = 1
+                powers.append(image)
+            while len(powers) <= e:
+                powers.append(_mul_terms(powers[-1], powers[1]))
         return powers[e]
 
 

@@ -72,9 +72,13 @@ class MonomialElement(Frozen):
 
 
 class GroupElement(Frozen):
-    """An element of the wreath product, stored as its layer tuple."""
+    """An element of the wreath product, stored as its layer tuple.
 
-    __slots__ = ("n", "layers")
+    ``_plan`` holds the evaluation plan ``act`` builds on its first call; it
+    is not part of the value, so equality and hashing ignore it.
+    """
+
+    __slots__ = ("n", "layers", "_plan")
 
     def __init__(self, n: int, layers: Sequence[Poly]):
         check_index(n, 1, "n")
@@ -87,6 +91,7 @@ class GroupElement(Frozen):
             check_layer(k, n, f.nvars)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_plan", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -97,6 +102,7 @@ class GroupElement(Frozen):
         out = cls.__new__(cls)
         object.__setattr__(out, "n", n)
         object.__setattr__(out, "layers", layers)
+        object.__setattr__(out, "_plan", None)
         return out
 
     @classmethod
@@ -130,16 +136,23 @@ class GroupElement(Frozen):
         """Image of the point ``x`` under this element."""
         if len(x) < self.n:
             raise ValueError(f"need {self.n} coordinates")
-        # one pass over each layer's terms; layer k uses only x_1..x_{k-1}
+        plan = self._plan
+        if plan is None:
+            # each layer's (coeff, ((j, p), ...)) pairs, zero exponents dropped
+            plan = tuple(
+                tuple((c, tuple((j, p) for j, p in enumerate(e) if p)) for e, c in f.terms.items())
+                for f in self.layers
+            )
+            object.__setattr__(self, "_plan", plan)
+        # layer k uses only x_1..x_{k-1}
         out = []
-        for k, f in enumerate(self.layers):
+        for xk, layer in zip(x, plan):
             total = 0
-            for e, c in f.terms.items():
-                for j, p in enumerate(e):
-                    if p:
-                        c *= x[j] ** p
+            for c, factors in layer:
+                for j, p in factors:
+                    c *= x[j] ** p
                 total += c
-            out.append(x[k] - _norm_coeff(total))
+            out.append(xk - (total if type(total) is int else _norm_coeff(total)))
         return tuple(out)
 
     # -- group operations ----------------------------------------------------
@@ -153,12 +166,19 @@ class GroupElement(Frozen):
         charge(self.n)  # one unit per layer, besides the products of its terms
         # x_i - f_{i-1}, the action of self on coordinates, with its powers
         shifted = PowerTable()
+        moved = False  # whether some image so far is not its own variable
         out: List[Poly] = []
-        for k, f in enumerate(self.layers):
-            terms = dict(f.terms)
-            _add_substituted(terms, other.layers[k].terms, shifted, 1)
-            out.append(Poly._of(terms))
-            shifted.append(_shifted_variable(k, f.terms))
+        for f, g in zip(self.layers, other.layers):
+            if not g.terms:
+                out.append(f)
+            elif not (moved or f.terms):
+                out.append(g)
+            else:
+                terms = dict(f.terms)
+                _add_substituted(terms, g.terms, shifted, 1)
+                out.append(Poly._of(terms))
+            shifted.shift(f.terms)
+            moved = moved or bool(f.terms)
         return GroupElement._of(self.n, tuple(out))
 
     def inverse(self) -> "GroupElement":
@@ -166,11 +186,13 @@ class GroupElement(Frozen):
         charge(self.n)  # one unit per layer, besides the products of its terms
         original = PowerTable()  # x_i expressed in the moved coordinates
         out: List[Poly] = []
-        for k, f in enumerate(self.layers):
-            layer: Terms = {}  # minus f in the moved coordinates
-            _add_substituted(layer, f.terms, original, -1)
-            out.append(Poly._of(layer))
-            original.append(_shifted_variable(k, layer))
+        for f in self.layers:
+            if f.terms:
+                layer: Terms = {}  # minus f in the moved coordinates
+                _add_substituted(layer, f.terms, original, -1)
+                f = Poly._of(layer)
+            out.append(f)
+            original.shift(f.terms)
         return GroupElement._of(self.n, tuple(out))
 
     def __pow__(self, power: int) -> "GroupElement":
@@ -248,16 +270,6 @@ class GroupElement(Frozen):
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _shifted_variable(k: int, terms: Terms) -> Terms:
-    """Terms of x_{k+1} - f, for f in x_1..x_k given by ``terms``.
-
-    The variable's exponent is longer than any of f's, so it never collides.
-    """
-    out = {e: -c for e, c in terms.items()}
-    out[(0,) * k + (1,)] = 1
-    return out
 
 
 def comm(g: GroupElement, h: GroupElement) -> GroupElement:

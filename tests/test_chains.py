@@ -11,6 +11,7 @@ import pytest
 from hyperwreath.budget import WorkBudget, charge
 from hyperwreath.chains import (
     SaturatedSet,
+    _growth_counts,
     _increment_shapes,
     ChainReport,
     ChainRow,
@@ -40,7 +41,8 @@ from hyperwreath.chains import (
 )
 from hyperwreath.liering import bracket_keys
 from hyperwreath.ordinals import ONE, OrdinalCNF, tdeg_of_monomial
-from hyperwreath.partitions import EMPTY, Partition, enumerate_partitions, sequences_abc
+from hyperwreath.partitions import (EMPTY, Partition, enumerate_partitions, partition_counts,
+                                    sequences_abc)
 from hyperwreath.verify import random_monomial
 from hyperwreath.wreath import GroupElement, MonomialElement
 
@@ -248,6 +250,15 @@ def test_growth_counts_match_the_enumerated_increments(n):
         for defect, d, k in _increment_shapes(i, n):
             direct[k] += len(partitions_into(defect + d - (n - k), d, k - 1))
         assert direct == counts, (n, i)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 32])
+def test_growth_counts_read_from_one_table_per_run(n):
+    """``verify_growth`` charges every step from one table up to n - 2, a
+    table whose corner up to r_i - 1 is the one ``growth_counts`` builds."""
+    rows = [row[:] for row in partition_counts(n - 2, n - 2)]
+    for i in range(1, 4 * n):
+        assert _growth_counts(n, i, rows) == growth_counts(n, i), (n, i)
 
 
 def tdeg_order(key):

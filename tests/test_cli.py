@@ -205,7 +205,7 @@ def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, units", [
-    ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 946),
+    ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 691),
     ("verify --suite chain --n 5 --imax 8", 8635),
     ("chain --n 8 --imax 60 --format json", 1352),
     ("verify --suite chain --n 3 --imax 10 --wt-bound 100", 29_003),

@@ -7,11 +7,13 @@ without shared power tables, and the action evaluating each layer with
 ``Poly.evaluate``.  The library's kernel must agree with it exactly.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from hyperwreath.budget import WorkBudget
 from hyperwreath.polyring import Poly, PowerTable, _add_substituted
 from hyperwreath.verify import random_group_element
 from hyperwreath.wreath import GroupElement
@@ -119,6 +121,14 @@ def seeded_elements(n, count, seed):
     return base + [a * b for a, b in zip(base, base[1:])]
 
 
+def with_zero_layers(rng, g):
+    """``g`` with each layer zeroed at random, and sometimes a zero prefix:
+    the inputs of the product's and the inverse's zero-layer paths."""
+    prefix = rng.randint(0, g.n) if rng.random() < 0.5 else 0
+    layers = [Poly.zero() if k < prefix or rng.random() < 0.4 else f for k, f in enumerate(g.layers)]
+    return GroupElement(g.n, layers)
+
+
 # -- the group product and inverse ------------------------------------------------------
 
 
@@ -162,6 +172,48 @@ def test_act_keeps_integral_values_int_at_rational_points():
     got = g.act([half, 3, 5])
     assert got == ref_act(g, [half, 3, 5]) == (Fraction(-1, 2), 2, -1)
     assert [type(v) for v in got] == [Fraction, int, int]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_repeated_act_reads_one_plan(n):
+    # the first call builds the plan; later ones, at int and Fraction points, reuse it
+    rng = random.Random(29 + n)
+    for g in seeded_elements(n, 12, seed=5):
+        plain = GroupElement(n, g.layers)
+        for _ in range(6):
+            for rational in (False, True, False):
+                point = rand_point(rng, n, rational)
+                got = g.act(point)
+                assert got == ref_act(g, point)
+                assert [type(v) for v in got] == [type(v) for v in ref_act(g, point)]
+        # the plan is not part of the value
+        assert g == plain and hash(g) == hash(plain) and plain.act(point) == g.act(point)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_products_and_inverses_with_zero_layers_match_the_reference_kernel(n):
+    rng = random.Random(31 + n)
+    elements = [with_zero_layers(rng, g) for g in seeded_elements(n, 12, seed=6)]
+    elements += [GroupElement.identity(n)]
+    for g in elements:
+        for h in elements:
+            gh = g * h
+            assert gh == ref_group_mul(g, h)
+            for f, q, out in zip(g.layers, h.layers, gh.layers):
+                if q.is_zero:
+                    assert out is f  # passed through, not copied
+        gi = g.inverse()
+        assert gi == ref_inverse(g)
+        assert all(out.is_zero for f, out in zip(g.layers, gi.layers) if f.is_zero)
+
+
+def test_a_product_passes_other_layers_through_an_identity_prefix():
+    # while self's layers so far are zero, every image is its own variable
+    g = GroupElement(4, [Poly.zero(), Poly.zero(), x1 * x2, Poly.zero()])
+    h = GroupElement(4, [Poly.constant(2), x1 ** 3, x1 * x2 - 1, x3 ** 2 + x1])
+    gh = g * h
+    assert gh == ref_group_mul(g, h)
+    assert gh.layers[0] is h.layers[0] and gh.layers[1] is h.layers[1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -214,6 +266,36 @@ def test_one_power_table_serves_several_substitutions():
             table.append(image.terms)
 
 
+def test_a_power_table_of_bare_and_shifted_images_matches_the_reference_powers():
+    rng = random.Random(9)
+    for _ in range(20):
+        table, images = PowerTable(), []
+        for j in range(4):
+            kind = rng.choice(("bare", "shifted", "appended"))
+            if kind == "appended":
+                image = rand_poly(rng, 4, rational=True, terms=3, max_deg=2)
+                table.append(image.terms)
+            else:
+                f = Poly.zero() if kind == "bare" else rand_poly(rng, j, terms=3, max_deg=2)
+                table.shift(f.terms)
+                image = Poly.variable(j + 1) - f
+            images.append(image)
+        for _ in range(12):
+            j, e = rng.randrange(4), rng.randint(1, 5)
+            got = Poly._of(table.power(j, e))
+            assert got == ref_power(images[j], e)
+            assert_normalized(got)
+
+
+def test_a_power_of_a_bare_image_is_one_monomial_and_free():
+    table = PowerTable()
+    table.shift({})
+    table.shift({})
+    with WorkBudget() as budget:
+        assert table.power(1, 256) == {(0, 256): 1}
+        assert budget.left == budget.limit
+
+
 def test_fraction_sums_return_to_int():
     half = Fraction(1, 2)
     p = Poly({(1,): half, (0, 1): half})
@@ -257,3 +339,25 @@ def test_evaluation_is_a_ring_homomorphism(rational):
             assert (p ** 2).evaluate(point) == p.evaluate(point) ** 2
             images = [s.evaluate(point) for s in subs]
             assert p.substitute(subs).evaluate(point) == p.evaluate(images)
+
+
+# -- pinned outputs ----------------------------------------------------------------------
+
+
+def test_kernel_outputs_are_pinned():
+    """One SHA-256 over the products, inverses and actions of the triples of
+    ``suite_group(0, triples=50)``, 50 at each n = 2..5, drawn as that call
+    draws them.  The suite prints only PASS lines, so an error on both sides
+    of one of its equalities would show here and nowhere else."""
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for n in (2, 3, 4, 5):
+        for _ in range(50):
+            g, h, k = (random_group_element(rng, n) for _ in range(3))
+            gh = g * h
+            for element in (gh, gh * k, g.inverse()):
+                digest.update(element.render().encode() + b"\n")
+            for _ in range(20):
+                x = tuple(rng.randint(-6, 6) for _ in range(n))
+                digest.update(repr(g.act(x)).encode() + b"\n")
+    assert digest.hexdigest() == "259c9b582fdd6efe804d632e0b2d96a3aafe989ed7400fd4bf55230056ddeda7"
