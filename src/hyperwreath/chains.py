@@ -17,10 +17,10 @@ from json.encoder import encode_basestring_ascii
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .budget import charge
-from .liering import LieKey, bracket_keys
+from .liering import Key, bracket_keys
 from .ordinals import OrdinalCNF
-from .partitions import (EMPTY, Frozen, Partition, check_index, check_layer, enumerate_partitions,
-                         partition_counts, seq_at, sequences_abc)
+from .partitions import (Frozen, check_index, check_layer, enumerate_partitions, partition_counts,
+                         replace_part, seq_at, sequences_abc, weight_of)
 from .polyring import Poly, monomial_text
 from .wreath import GroupElement, MonomialElement, comm_formula
 
@@ -44,21 +44,32 @@ def r_func(i: int, n: int) -> int:
     return (i - 1) % (n - 1) + 1
 
 
-def wdd(key: LieKey, n: int) -> int:
+def wdd(key: Key, n: int) -> int:
     """Weight-degree defect of the monic monomial ``key``: wt - deg + n - layer."""
-    lam, k = key
-    return lam.weight - lam.degree + n - k
+    mults, k = key
+    return weight_of(mults) - sum(mults) + n - k
 
 
-def lev(i: int, key: LieKey, n: int) -> int:
+def lev(i: int, key: Key, n: int) -> int:
     """Level function at step i: h_i * wdd + deg - 1."""
-    return h_func(i, n) * wdd(key, n) + key[0].degree - 1
+    return h_func(i, n) * wdd(key, n) + sum(key[0]) - 1
 
 
-def render_key(key: LieKey) -> str:
+def render_key(key: Key) -> str:
     """The element text of the monic monomial ``key``, e.g. ``[x1^2]D3``."""
-    lam, k = key
-    return f"[{monomial_text(1, lam.mults)}]D{k}"
+    mults, k = key
+    return f"[{monomial_text(1, mults)}]D{k}"
+
+
+def check_key(key: Key, n: int) -> None:
+    """The check of a key at a public entry point: its multiplicities in the one
+    form of a partition, and the layer rule of ``W_n``."""
+    mults, k = key
+    if type(mults) is not tuple or mults[-1:] == (0,) or not all(
+            isinstance(v, int) and v >= 0 for v in mults):
+        raise ValueError(f"key multiplicities must be non-negative ints with no trailing zero, "
+                         f"in a tuple, got {mults!r}")
+    check_layer(k, n, len(mults))
 
 
 # -- saturated sets ----------------------------------------------------------
@@ -67,29 +78,30 @@ def render_key(key: LieKey) -> str:
 class SaturatedSet(Frozen):
     """A weight-bounded saturated basis, such as a chain step's generator set
     or a closure: monic monomials ``x^lam Delta_k`` of ``W_n``, given by their
-    keys ``(lam, k)``, indexed by layer and by part so that a key visits only
-    the members it has a nontrivial commutator with.
+    keys ``(mults, k)``, the multiplicities of ``lam`` and the layer, indexed
+    by layer and by part so that a key visits only the members it has a
+    nontrivial commutator with.
 
     ``closure_bound`` is the admitted weight, and a heavier key is refused:
     this is the one place the bound rule is checked.  ``discards`` counts the
     constituents a closure dropped against it.  The index lists its members in
-    the order of ``(k, lam.mults)``, so ``partners``, and the units a verdict
+    the order of ``(k, mults)``, so ``partners``, and the units a verdict
     charges, depend only on the keys.
     """
 
     __slots__ = ("n", "keys", "closure_bound", "discards", "by_layer", "by_part")
 
-    def __init__(self, n: int, keys: Iterable[LieKey], closure_bound: int, discards: int = 0):
+    def __init__(self, n: int, keys: Iterable[Key], closure_bound: int, discards: int = 0):
         keys = frozenset(keys)
-        by_layer: Dict[int, List[LieKey]] = {}
-        by_part: Dict[int, List[LieKey]] = {}
-        for key in sorted(keys, key=lambda b: (b[1], b[0].mults)):
-            lam, k = key
-            check_layer(k, n, lam.max_part)
-            if lam.weight > closure_bound:
+        by_layer: Dict[int, List[Key]] = {}
+        by_part: Dict[int, List[Key]] = {}
+        for key in sorted(keys, key=lambda b: (b[1], b[0])):
+            check_key(key, n)
+            mults, k = key
+            if weight_of(mults) > closure_bound:
                 raise ValueError("wt_bound is below the heaviest generator")
             by_layer.setdefault(k, []).append(key)
-            for part, mult in enumerate(lam.mults, 1):
+            for part, mult in enumerate(mults, 1):
                 if mult:
                     by_part.setdefault(part, []).append(key)
         object.__setattr__(self, "n", n)
@@ -102,12 +114,12 @@ class SaturatedSet(Frozen):
     def __len__(self) -> int:
         return len(self.keys)
 
-    def partners(self, key: LieKey) -> Iterator[LieKey]:
+    def partners(self, key: Key) -> Iterator[Key]:
         """Members ``(theta, u)`` meeting ``(lam, k)``: the lower layers ``u``
         that are parts of ``lam``, and the higher members with a part ``k``
         (a partition in layer ``u`` has parts below ``u`` only)."""
         lam, k = key
-        for u, mult in enumerate(lam.mults, 1):
+        for u, mult in enumerate(lam, 1):
             if mult:
                 yield from self.by_layer.get(u, ())
         yield from self.by_part.get(k, ())
@@ -170,22 +182,22 @@ def _increment(j: int, n: int, tables: Dict[int, list]) -> Iterator[Tuple[int, i
         yield d, k, table
 
 
-def _new_keys(j: int, n: int) -> List[LieKey]:
+def _new_keys(j: int, n: int) -> List[Key]:
     """Keys of the monic monomials that join the chain at step j: at step 0
     the single-variable linear monomials, later the partitions of each
     ``_increment_shapes`` triple into d parts below k, read off ``_increment``.
     """
     if j == 0:
-        return [(Partition.from_parts([v]), k) for k in range(2, n + 1) for v in range(1, k)]
+        return [((0,) * (v - 1) + (1,), k) for k in range(2, n + 1) for v in range(1, k)]
     return [
-        (Partition._of((d - parts,) + mults), k)
+        ((d - parts,) + mults, k)
         for d, k, table in _increment(j, n, {})
         for parts, mults, _, _ in table
         if parts <= d
     ]
 
 
-def enumerate_N(i: int, n: int) -> FrozenSet[LieKey]:
+def enumerate_N(i: int, n: int) -> FrozenSet[Key]:
     """The keys of the generator set at step i: the translation generators
     plus the new keys of every step 0..i, i.e. every monomial whose level
     function hits its own index at some step <= i.
@@ -196,7 +208,7 @@ def enumerate_N(i: int, n: int) -> FrozenSet[LieKey]:
     """
     if i < -1:
         raise ValueError("i must be >= -1")
-    members: Set[LieKey] = {(EMPTY, k) for k in range(1, n + 1)}
+    members: Set[Key] = {((), k) for k in range(1, n + 1)}
     for j in range(0, i + 1):
         members.update(_new_keys(j, n))
     return frozenset(members)
@@ -448,7 +460,7 @@ def comm_constituents(a: MonomialElement, b: MonomialElement) -> List[MonomialEl
     return g.decompose()
 
 
-def constituent_keys(a: LieKey, b: LieKey) -> Iterator[LieKey]:
+def constituent_keys(a: Key, b: Key) -> Iterator[Key]:
     """Lie keys of the monic constituents of the commutator of two monomial
     elements with keys ``a`` and ``b``, whatever their coefficients.
 
@@ -461,40 +473,39 @@ def constituent_keys(a: LieKey, b: LieKey) -> Iterator[LieKey]:
     polynomial route to the same keys.
 
     The keys come one at a time, so a caller that has its answer stops; all m
-    are charged when the first is taken.  Both keys are taken as checked
-    against the layer rule, so the multiplicity read skips the index check.
+    are charged when the first is taken.  Both keys are taken as checked.
     """
     (lam, k), (theta, u) = a, b
     if k == u:
         return
     if k < u:
         (lam, k), (theta, u) = b, a
-    m = lam._multiplicity(u)
+    m = lam[u - 1] if u <= len(lam) else 0
     charge(m)
     for _ in range(m):
-        lam = lam.replace_part(u, theta)
+        lam = replace_part(lam, u, theta)
         yield lam, k
 
 
-def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> SaturatedSet:
+def saturated_closure(gens: Iterable[Key], wt_bound: int, n: int) -> SaturatedSet:
     """Least monic-monomial set containing the keys ``gens`` and closed under
     taking the monic parts of commutator constituents, up to the weight bound.
 
     Constituents heavier than the bound are discarded and counted; a nonzero
     discard count marks the closure as potentially incomplete.  A generator
-    heavier than the bound is refused by ``SaturatedSet``.  Members grow
-    only between rounds, so each round walks the partners of its frontier in
-    one ``SaturatedSet`` of the members so far, and the round that adds none
-    has walked the keys that are returned.  The loop ends: each round adds
-    keys of weight up to the bound, of which there are finitely many, or is
-    the last.
+    that is heavier than the bound, or not a valid key, is refused by
+    ``SaturatedSet``.  Members grow only between rounds, so each round walks
+    the partners of its frontier in one ``SaturatedSet`` of the members so
+    far, and the round that adds none has walked the keys that are returned.
+    The loop ends: each round adds keys of weight up to the bound, of which
+    there are finitely many, or is the last.
     """
     members = frozenset(gens)
     closure = SaturatedSet(n, members, wt_bound)
-    discarded: Set[LieKey] = set()
+    discarded: Set[Key] = set()
     frontier = members
     while frontier:
-        new: Set[LieKey] = set()
+        new: Set[Key] = set()
         for a in frontier:
             # the reversed commutator is the inverse and has the same
             # monic constituents, so one order suffices
@@ -502,7 +513,7 @@ def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> Saturate
                 for key in constituent_keys(a, b):
                     if key in members or key in new:
                         continue
-                    if key[0].weight > wt_bound:
+                    if weight_of(key[0]) > wt_bound:
                         discarded.add(key)
                     else:
                         new.add(key)
@@ -516,7 +527,7 @@ def saturated_closure(gens: Iterable[LieKey], wt_bound: int, n: int) -> Saturate
 # -- normalizer / idealizer verification ----------------------------------------
 
 
-def normalizes(key: LieKey, H: SaturatedSet) -> Optional[bool]:
+def normalizes(key: Key, H: SaturatedSet) -> Optional[bool]:
     """Bounded check that the monic monomial ``key`` normalizes the saturated
     subgroup with basis ``H``.
 
@@ -526,7 +537,7 @@ def normalizes(key: LieKey, H: SaturatedSet) -> Optional[bool]:
     bound (or any escape when the closure itself discarded constituents) is
     not decidable at this bound and yields None ("unknown").
     """
-    check_layer(key[1], H.n, key[0].max_part)
+    check_key(key, H.n)
     any_unknown = False
     for other in H.partners(key):
         for out in constituent_keys(key, other):
@@ -534,24 +545,24 @@ def normalizes(key: LieKey, H: SaturatedSet) -> Optional[bool]:
                 continue
             if H.discards > 0:
                 return None  # no escape can be conclusive against a lossy basis
-            if out[0].weight > H.closure_bound:
+            if weight_of(out[0]) > H.closure_bound:
                 any_unknown = True
             else:
                 return False
     return None if any_unknown else True
 
 
-def idealizes(key: LieKey, H: SaturatedSet) -> bool:
+def idealizes(key: Key, H: SaturatedSet) -> bool:
     """Check that a Lie basis element idealizes the homogeneous subring
     spanned by the basis ``H``: each bracket with a member is again in the
     span.
 
     Only the partners of ``key`` in ``H`` are visited: by the layer rule the
     bracket with any other member is zero, as ``bracket_keys`` takes a
-    derivative along the lower layer.  Like ``normalizes``, it refuses a key
-    outside ``W_n``, for which that walk would not be exact.
+    derivative along the lower layer.  Like ``normalizes``, it refuses a bad
+    key, such as one outside ``W_n``, for which that walk would not be exact.
     """
-    check_layer(key[1], H.n, key[0].max_part)
+    check_key(key, H.n)
     h_keys = H.keys
     verdict, calls = True, 0
     for calls, other in enumerate(H.partners(key), 1):
@@ -579,7 +590,7 @@ def candidate_count(n: int, wt_bound: int) -> int:
     that many are charged first, and they also pay for counting the rest, one
     pass per layer over a table of ``wt_bound + 1`` entries: row p of
     ``partition_counts`` holds the partitions of each weight into parts up to
-    p, the candidates of layer p + 1, and row 0 is layer 1's ``(EMPTY, 1)``.
+    p, the candidates of layer p + 1, and row 0 is layer 1's ``((), 1)``.
     """
     check_index(wt_bound, 0, "wt_bound")
     least = (n - 1) * (wt_bound + 1) + 1
@@ -589,29 +600,11 @@ def candidate_count(n: int, wt_bound: int) -> int:
     return count
 
 
-def candidate_keys(n: int, wt_bound: int) -> Iterator[LieKey]:
-    """Keys of all monic monomials of weight up to the bound, every layer, one
-    at a time, ordered by layer, weight and multiplicities.
-
-    Their number is charged by ``candidate_count`` before the first is built.
-    The partitions of each weight are enumerated once, with parts below the
-    top layer, and layer k takes those whose top part is below k, in the same
-    order.
-    """
-    candidate_count(n, wt_bound)
-    by_weight = [enumerate_partitions(w, n - 1) for w in range(wt_bound + 1)]
-    for k in range(1, n + 1):
-        for lams in by_weight:
-            for lam in lams:
-                if len(lam.mults) < k:
-                    yield lam, k
-
-
-def witness_survivors(closure: SaturatedSet, target: Iterable[LieKey]) -> List[LieKey]:
-    """The candidates, in ``candidate_keys`` order, that the translation
-    witness does not refute against a closure holding every ``(EMPTY, u)``:
-    each ``(EMPTY, k)``, each key whose one-part removals are all in the
-    closure, and each key of ``target`` within the bound.
+def witness_survivors(closure: SaturatedSet, target: Iterable[Key]) -> List[Key]:
+    """The candidates, ordered by layer, weight and multiplicities, that the
+    translation witness does not refute against a closure holding every
+    ``((), u)``: each ``((), k)``, each key whose one-part removals are all in
+    the closure, and each key of ``target`` within the bound.
 
     A part u of ``lam`` gives ``[x^lam D_k, D_u]`` the constituent
     ``(lam - e_u, k)``, the s = 1 term of ``constituent_keys``, and
@@ -624,22 +617,21 @@ def witness_survivors(closure: SaturatedSet, target: Iterable[LieKey]) -> List[L
     per candidate, which ``candidate_count`` has charged.
     """
     bound = closure.closure_bound
-    found = {b for b in target if b[0].weight <= bound}
+    found = {b for b in target if weight_of(b[0]) <= bound}
     for k, members in closure.by_layer.items():
-        held = {mu.mults for mu, _ in members}
-        found.add((EMPTY, k))
-        for mu, _ in members:
-            m = mu.mults
+        held = {m for m, _ in members}
+        found.add(((), k))
+        for m in held:
             top = len(m)
-            for u in range(max(top, 1), min(k - 1, bound - mu.weight) + 1):
+            for u in range(max(top, 1), min(k - 1, bound - weight_of(m)) + 1):
                 lam = m[:-1] + (m[-1] + 1,) if u == top else m + (0,) * (u - top - 1) + (1,)
                 if all(
                     lam[:v - 1] + (c - 1,) + lam[v:] in held
                     for v, c in enumerate(lam[:u - 1], 1)
                     if c
                 ):
-                    found.add((Partition._of(lam), k))
-    return sorted(found, key=lambda b: (b[1], b[0].weight, b[0].mults))
+                    found.add((lam, k))
+    return sorted(found, key=lambda b: (b[1], weight_of(b[0]), b[0]))
 
 
 @dataclass
@@ -683,15 +675,15 @@ def check_chain_step(n: int, i: int, wt_bound: Optional[int] = None) -> ChainSte
     return check_candidates(i, SaturatedSet(n, prev, wt_bound), prev.union(_new_keys(i, n)))
 
 
-def check_candidates(i: int, closure: SaturatedSet, target: FrozenSet[LieKey]) -> ChainStepCheck:
+def check_candidates(i: int, closure: SaturatedSet, target: FrozenSet[Key]) -> ChainStepCheck:
     """The step-i check of every candidate up to the bound of the basis
     ``closure``: ``target`` should be exactly the candidates that normalize
     it, and the idealizer verdict should equal the normalizer verdict.
 
-    Only the ``witness_survivors`` get the two verdicts, in ``candidate_keys``
-    order; every other candidate is refuted on both sides by a translation
-    generator and counts as a checked outsider.  Every candidate is charged
-    before the first verdict.  The basis must hold every ``(EMPTY, u)``, as a
+    Only the ``witness_survivors`` get the two verdicts, ordered by layer,
+    weight and multiplicities; every other candidate is refuted on both sides
+    by a translation generator and counts as a checked outsider.  Every candidate is charged
+    before the first verdict.  The basis must hold every ``((), u)``, as a
     chain step's does, and have no discards: against a lossy basis an escape
     is ``None``, not ``False``, so the witness would not be conclusive.  Its
     members lie within its bound, which ``SaturatedSet`` checks.
@@ -712,8 +704,8 @@ def check_candidates(i: int, closure: SaturatedSet, target: FrozenSet[LieKey]) -
     )
     if closure.discards:
         raise ValueError("the basis has discards, so no escape from it is conclusive")
-    if not all((EMPTY, u) in closure.keys for u in range(1, n + 1)):
-        raise ValueError("the basis lacks a translation generator (EMPTY, u)")
+    if not all(((), u) in closure.keys for u in range(1, n + 1)):
+        raise ValueError("the basis lacks a translation generator ((), u)")
     count = candidate_count(n, closure.closure_bound)
     keys = witness_survivors(closure, target)
     for key in keys:

@@ -8,11 +8,12 @@ import re
 from typing import Dict, List, Tuple
 
 from .ordinals import OrdinalCNF, tdeg_of_monomial
-from .partitions import Frozen, Partition, check_layer
+from .partitions import Frozen, Partition, check_layer, replace_part
 from .polyring import monomial_text, signed_sum
 from .wreath import GroupElement, MonomialElement, parse_layer_poly
 
-LieKey = Tuple[Partition, int]  # (exponent partition, layer of the derivation)
+LieKey = Tuple[Partition, int]  # a LieElement term: (exponent partition, layer of the derivation)
+Key = Tuple[Tuple[int, ...], int]  # (its multiplicities, layer), as bracket_keys and chains take it
 
 
 class LieElement(Frozen):
@@ -104,27 +105,26 @@ class LieElement(Frozen):
         return self.render()
 
 
-def bracket_keys(a: LieKey, b: LieKey) -> Tuple[int, LieKey]:
+def bracket_keys(a: Key, b: Key) -> Tuple[int, Key]:
     """Bracket of two basis elements; returns (coefficient, key), coefficient 0 for zero.
 
     [x^lam d_k, x^theta d_j] is the derivative of one side applied to the
     other: d_j(x^lam) x^theta d_k when j < k, the mirrored expression with a
     minus sign when j > k, and zero on equal layers.  The keys are taken as
-    valid, as ``LieElement`` terms and checked chain keys are, so the
-    multiplicity read skips the index check.
+    valid, as ``LieElement`` terms and checked chain keys are.
     """
     (lam, k), (theta, j) = a, b
     if j == k:
         return 0, a
     if j < k:
-        mult = lam._multiplicity(j)
+        mult = lam[j - 1] if j <= len(lam) else 0
         if mult == 0:
             return 0, a
-        return mult, (lam.replace_part(j, theta), k)
-    mult = theta._multiplicity(k)
+        return mult, (replace_part(lam, j, theta), k)
+    mult = theta[k - 1] if k <= len(theta) else 0
     if mult == 0:
         return 0, a
-    return -mult, (theta.replace_part(k, lam), j)
+    return -mult, (replace_part(theta, k, lam), j)
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -132,11 +132,12 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     if a.n != b.n:
         raise ValueError("mismatched n")
     data: Dict[LieKey, int] = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            coeff, key = bracket_keys(ka, kb)
+    for (lam, k), ca in a.terms.items():
+        for (theta, j), cb in b.terms.items():
+            coeff, (mults, layer) = bracket_keys((lam.mults, k), (theta.mults, j))
             if coeff == 0:
                 continue
+            key = (Partition._of(mults), layer)
             s = data.get(key, 0) + ca * cb * coeff
             if s == 0:
                 data.pop(key, None)

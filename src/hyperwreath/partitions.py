@@ -81,7 +81,7 @@ class Partition(Frozen):
 
     @property
     def weight(self) -> int:
-        return sum(map(mul, self.mults, count(1)))
+        return weight_of(self.mults)
 
     @property
     def degree(self) -> int:
@@ -99,11 +99,6 @@ class Partition(Frozen):
     def multiplicity(self, i: int) -> int:
         """Multiplicity of the part ``i`` (1-indexed)."""
         check_index(i, 1, "part index")
-        return self._multiplicity(i)
-
-    def _multiplicity(self, i: int) -> int:
-        """``multiplicity`` for a part index known to be an int >= 1, such as
-        the layer of a checked key."""
         m = self.mults
         return m[i - 1] if i <= len(m) else 0
 
@@ -115,24 +110,6 @@ class Partition(Frozen):
         if len(a) < len(b):
             a, b = b, a
         return Partition._of(tuple(map(add, a, b)) + a[len(b):])  # ends as ``a`` does, nonzero
-
-    def replace_part(self, i: int, other: "Partition") -> "Partition":
-        """Swap one part equal to ``i`` for the parts of ``other``, in one pass:
-        the part must be present and every part of ``other`` below ``i``, as in
-        a commutator of keys, where ``other`` lives in layer ``i``."""
-        m, b = self.mults, other.mults
-        lb = len(b)
-        if not lb < i <= len(m) or not m[i - 1]:
-            raise ValueError(f"need a part {i} to remove and every part of {other!r} below it")
-        v = m[i - 1] - 1
-        if v or i < len(m):
-            if lb:
-                return Partition._of((*map(add, m, b), *m[lb:i - 1], v, *m[i:]))
-            return Partition._of((*m[:i - 1], v, *m[i:]))
-        out = (*map(add, m, b), *m[lb:i - 1])
-        while out and not out[-1]:  # the top part went, and the zeros under it
-            out = out[:-1]
-        return Partition._of(out)
 
     # -- dunder plumbing ---------------------------------------------------
 
@@ -148,6 +125,29 @@ class Partition(Frozen):
 
 _set_mults = Partition.mults.__set__
 EMPTY = Partition()
+
+
+def weight_of(mults: Tuple[int, ...]) -> int:
+    """The weight ``sum(i * mult_i)`` of the partition with multiplicities ``mults``."""
+    return sum(map(mul, mults, count(1)))
+
+
+def replace_part(m: Tuple[int, ...], i: int, b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Swap one part ``i`` of the multiplicities ``m`` for the parts of ``b``
+    in one pass: the part must be present and every part of ``b`` below ``i``,
+    as in a commutator of keys (``b`` in layer ``i``).  No trailing zeros."""
+    lb = len(b)
+    if not lb < i <= len(m) or not m[i - 1]:
+        raise ValueError(f"need a part {i} of {m} to remove and every part of {b} below it")
+    v = m[i - 1] - 1
+    if v or i < len(m):
+        if lb:
+            return (*map(add, m, b), *m[lb:i - 1], v, *m[i:])
+        return (*m[:i - 1], v, *m[i:])
+    out = (*map(add, m, b), *m[lb:i - 1])
+    while out and not out[-1]:  # the top part went, and the zeros under it
+        out = out[:-1]
+    return out
 
 
 def enumerate_partitions(wt: int, max_part: Optional[int] = None) -> List[Partition]:

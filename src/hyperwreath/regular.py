@@ -95,8 +95,8 @@ def is_normal_in_N0(family: RegularFamily) -> bool:
     generator inside the family (checked on both conjugation sides).
     """
     n = family.n
-    for lam, k in enumerate_N(0, n):
-        s = GroupElement.monomial(1, lam, k, n)
+    for mults, k in enumerate_N(0, n):
+        s = GroupElement.monomial(1, Partition._of(mults), k, n)
         s_inv = s.inverse()
         for t in family.generators:
             for image in (conjugate(t, s), conjugate(t, s_inv)):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import chains, liering, regular, wreath
 from .ordinals import OrdinalCNF
@@ -210,6 +210,13 @@ def suite_phi(seed: int, pairs: int = 200, ns: Sequence[int] = (2, 3, 4, 5)) -> 
     return [intertwines, laws]
 
 
+def _center_keys(n: int) -> Iterator[Tuple[Partition, int]]:
+    """The keys ``(partition, layer)`` of the monic monomials of ``W_n`` of
+    weight up to 4, ordered by layer, weight and multiplicities."""
+    return ((lam, k) for k in range(1, n + 1)
+            for wt in range(5) for lam in enumerate_partitions(wt, k - 1))
+
+
 def suite_centers(seed: int, ns: Sequence[int] = (3, 4)) -> List[PropertyResult]:
     """Central-series drop of commutators and the description of the center."""
     rng = random.Random(seed)
@@ -217,7 +224,7 @@ def suite_centers(seed: int, ns: Sequence[int] = (3, 4)) -> List[PropertyResult]
     center = PropertyResult("degree-zero monomials are exactly the top-layer constants")
     one = OrdinalCNF.from_int(1)
     for n in ns:
-        for lam, k in chains.candidate_keys(n, 4):
+        for lam, k in _center_keys(n):
             b = wreath.MonomialElement(1, lam, k, n)
             bg = b.to_group()
             alpha = b.tdeg()

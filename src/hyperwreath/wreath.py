@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .budget import charge
 from .ordinals import ZERO, OrdinalCNF, tdeg_of_monomial
-from .partitions import Frozen, Partition, check_index, check_layer
+from .partitions import Frozen, Partition, check_index, check_layer, replace_part
 from .polyring import (Poly, PowerTable, Terms, _add_substituted, _norm_coeff, monomial_text,
                        parse_poly, signed_sum)
 
@@ -332,7 +332,7 @@ def leading_of_monomial_comm(
     mult = lam.multiplicity(u)
     if mult == 0:
         return None
-    return MonomialElement(mult, lam.replace_part(u, theta), k, n)
+    return MonomialElement(mult, Partition._of(replace_part(lam.mults, u, theta.mults)), k, n)
 
 
 _FACTOR_RE = re.compile(r"\s*\[([^\]]*)\]D(\d+)\s*")

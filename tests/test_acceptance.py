@@ -14,7 +14,6 @@ import numpy as np
 
 from hyperwreath import chains, liering, regular, wreath
 from hyperwreath.chains import (
-    candidate_keys,
     center_membership,
     check_chain_step,
     enumerate_N,
@@ -22,7 +21,7 @@ from hyperwreath.chains import (
 )
 from hyperwreath.cli import main
 from hyperwreath.ordinals import ONE
-from hyperwreath.partitions import Partition, sequences_abc
+from hyperwreath.partitions import Partition, enumerate_partitions, sequences_abc
 from hyperwreath.polyring import Poly
 from hyperwreath.verify import random_group_element, random_monomial
 from hyperwreath.wreath import (GroupElement, MonomialElement, comm, comm_formula, parse_element,
@@ -217,7 +216,10 @@ def test_criterion_6_central_series():
     with criterion(6, "central series: degree drop and the alpha=1 classification"):
         rng = random.Random(6)
         for n in (3, 4):
-            for lam, k in candidate_keys(n, 4):
+            # every monic monomial of weight up to 4, by layer, weight and multiplicities
+            keys = [(lam, k) for k in range(1, n + 1) for wt in range(5)
+                    for lam in enumerate_partitions(wt, k - 1)]
+            for lam, k in keys:
                 b = MonomialElement(1, lam, k, n)
                 bg = b.to_group()
                 alpha = b.tdeg()

@@ -18,7 +18,6 @@ from hyperwreath.chains import (
     ChainStepCheck,
     _new_keys,
     candidate_count,
-    candidate_keys,
     center_membership,
     check_candidates,
     check_chain_step,
@@ -42,19 +41,44 @@ from hyperwreath.chains import (
 from hyperwreath.liering import bracket_keys
 from hyperwreath.ordinals import ONE, OrdinalCNF, tdeg_of_monomial
 from hyperwreath.partitions import (EMPTY, Partition, enumerate_partitions, partition_counts,
-                                    sequences_abc)
-from hyperwreath.verify import random_monomial
+                                    sequences_abc, weight_of)
+from hyperwreath.verify import _center_keys, random_monomial
 from hyperwreath.wreath import GroupElement, MonomialElement
 
 
 def key(parts, k):
-    """The key of the monic monomial x^lam D_k whose partition has ``parts``."""
-    return Partition.from_parts(parts), k
+    """The key ``(mults, k)`` of the monic monomial x^lam D_k whose partition
+    has ``parts``."""
+    return Partition.from_parts(parts).mults, k
 
 
 def as_key(m):
     """The key of a monomial element's monic part."""
-    return m.lam, m.layer
+    return m.lam.mults, m.layer
+
+
+def element_of(b, n):
+    """The monic monomial element with key ``b``."""
+    return MonomialElement(1, Partition(b[0]), b[1], n)
+
+
+def candidate_keys(n, wt_bound):
+    """Keys of all monic monomials of weight up to the bound, every layer, one
+    at a time, ordered by layer, weight and multiplicities: the candidates a
+    chain step decides, and the oracle of ``candidate_count``.
+
+    Their number is charged by ``candidate_count`` before the first is built.
+    The partitions of each weight are enumerated once, with parts below the
+    top layer, and layer k takes those whose top part is below k, in the same
+    order.
+    """
+    candidate_count(n, wt_bound)
+    by_weight = [enumerate_partitions(w, n - 1) for w in range(wt_bound + 1)]
+    for k in range(1, n + 1):
+        for lams in by_weight:
+            for lam in lams:
+                if len(lam.mults) < k:
+                    yield lam.mults, k
 
 
 def test_h_and_r_examples():
@@ -78,12 +102,12 @@ def test_wdd_and_lev_examples():
 
 def test_enumerate_N_base_cases():
     for n in (2, 3, 4):
-        assert enumerate_N(-1, n) == {(EMPTY, k) for k in range(1, n + 1)}
+        assert enumerate_N(-1, n) == {((), k) for k in range(1, n + 1)}
 
 
 def test_enumerate_N0_is_unitriangular_frame():
     got = enumerate_N(0, 4)
-    expected = {(EMPTY, k) for k in range(1, 5)}
+    expected = {((), k) for k in range(1, 5)}
     expected |= {key([j], k) for k in range(2, 5) for j in range(1, k)}
     assert got == expected
     assert len(got) == 10
@@ -163,10 +187,10 @@ def test_partitions_into_matches_brute_force():
 
 def test_heaviest_generator_weight_matches_the_generator_sets():
     for n in range(2, 13):
-        heaviest = max(lam.weight for lam, _ in enumerate_N(-1, n))
+        heaviest = max(weight_of(mults) for mults, _ in enumerate_N(-1, n))
         assert heaviest_generator_weight(-1, n) == heaviest == 0
         for j in range(0, 61):
-            heaviest = max(heaviest, *(lam.weight for lam, _ in _new_keys(j, n)))
+            heaviest = max(heaviest, *(weight_of(mults) for mults, _ in _new_keys(j, n)))
             assert heaviest_generator_weight(j, n) == heaviest, (n, j)
 
 
@@ -177,7 +201,7 @@ def level_set(j, n):
     integer.  The oracle of the increment route, which enumerates only the
     keys no earlier step reached."""
     if j == 0:
-        return {(Partition.from_parts([v]), k) for k in range(2, n + 1) for v in range(1, k)}
+        return {(Partition.from_parts([v]).mults, k) for k in range(2, n + 1) for v in range(1, k)}
     out = set()
     h = h_func(j, n)
     for d in range(1, j + 2):
@@ -187,7 +211,7 @@ def level_set(j, n):
         for k in range(1, n + 1):
             wt = w + d - (n - k)
             if wt >= d:
-                out.update((lam, k) for lam in partitions_into(wt, d, k - 1))
+                out.update((lam.mults, k) for lam in partitions_into(wt, d, k - 1))
     return out
 
 
@@ -204,7 +228,7 @@ def test_level_sets_match_the_level_function():
             oracle = {
                 b
                 for b in candidate_keys(n, j + n)
-                if b[0] != EMPTY and lev(j, b, n) == j
+                if b[0] and lev(j, b, n) == j
             }
             assert level_set(j, n) == oracle, (n, j)
 
@@ -227,12 +251,12 @@ def test_increments_match_the_direct_partition_route(n):
     for i in range(1, oracle_steps(n) + 1):
         by_shape = {}
         for b in _new_keys(i, n):
-            by_shape.setdefault((wdd(b, n), b[0].degree, b[1]), []).append(b)
+            by_shape.setdefault((wdd(b, n), sum(b[0]), b[1]), []).append(b)
         for defect, d, k in _increment_shapes(i, n):
             direct = partitions_into(defect + d - (n - k), d, k - 1)
             shifted = by_shape.pop((defect, d, k), [])
             assert len(shifted) == len(set(shifted)), (n, i, defect, d, k)
-            assert set(shifted) == {(lam, k) for lam in direct}, (n, i, defect, d, k)
+            assert set(shifted) == {(lam.mults, k) for lam in direct}, (n, i, defect, d, k)
         assert not by_shape, (n, i)  # no key outside the step's shapes
 
 
@@ -265,14 +289,14 @@ def tdeg_order(key):
     """A sort key ordering monic monomials as ``tdeg_of_monomial`` does: the
     lower layer first (it has more leading omega powers), then the higher top
     part, then the multiplicities from the top part down."""
-    lam, k = key
-    return -k, len(lam.mults), lam.mults[::-1]
+    mults, k = key
+    return -k, len(mults), mults[::-1]
 
 
 def test_sort_key_orders_as_tdeg():
     for n in range(2, 9):
         keys = list(candidate_keys(n, 8))
-        by_tdeg = sorted(keys, key=lambda b: tdeg_of_monomial(*b, n))
+        by_tdeg = sorted(keys, key=lambda b: tdeg_of_monomial(Partition(b[0]), b[1], n))
         assert sorted(keys, key=tdeg_order) == by_tdeg, n
         # no two keys share a transfinite degree, so the orders are total
         assert len({tdeg_order(b) for b in keys}) == len(keys)
@@ -294,8 +318,7 @@ def test_increments_partition_the_union():
     for n in range(2, 7):
         report = verify_growth(n, 12)
         for row in report.rows:
-            new = [MonomialElement(1, lam, k, n)
-                   for lam, k in enumerate_N(row.i, n) - enumerate_N(row.i - 1, n)]
+            new = [element_of(b, n) for b in enumerate_N(row.i, n) - enumerate_N(row.i - 1, n)]
             ordered = sorted(new, key=lambda m: m.tdeg(), reverse=True)
             assert row.generators == [m.render() for m in ordered], (n, row.i)
             counts = {k: sum(m.layer == k for m in new) for k in range(1, n + 1)}
@@ -309,8 +332,8 @@ def test_increments_partition_the_union():
 
 def test_render_key_matches_the_monomial_element():
     for n in range(2, 9):
-        for lam, k in candidate_keys(n, 8):
-            assert render_key((lam, k)) == MonomialElement(1, lam, k, n).render(), (lam, k)
+        for b in candidate_keys(n, 8):
+            assert render_key(b) == element_of(b, n).render(), b
 
 
 def test_layer_counts_examples():
@@ -497,7 +520,7 @@ def test_generator_sets_are_commutator_closed():
     for n in range(2, 9):
         for i in range(-1, 13):
             base = enumerate_N(i, n)
-            bound = max(2 * (i + 3), *(lam.weight for lam, _ in base))
+            bound = max(2 * (i + 3), *(weight_of(mults) for mults, _ in base))
             closed = saturated_closure(base, bound, n=n)
             assert closed.keys == base
             assert closed.discards == 0
@@ -705,6 +728,21 @@ def test_chain_steps_are_pinned():
     )
 
 
+def test_chain_steps_and_their_units_are_pinned_through_n8():
+    # SHA-256 of the repr of every ChainStepCheck field and the units the step
+    # charges, for n = 2..8, i = 1..8, recorded before chain keys became
+    # multiplicity tuples
+    rows = []
+    for n in range(2, 9):
+        for i in range(1, 9):
+            with WorkBudget() as budget:
+                step = check_chain_step(n, i)
+            rows.append(repr((astuple(step), budget.limit - budget.left)))
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "cb9b88cbf8cf6413e27c2fe5b365b0a4406b69463239d8a201f56953e0f5366e"
+    )
+
+
 # -- the witness-pruned sweep against the full sweep --------------------------------
 
 
@@ -759,9 +797,9 @@ def test_chain_steps_match_the_full_sweep():
 
 def removals_held(b, closure):
     """Whether every one-part removal of the key ``b`` is in ``closure``."""
-    m, k = b[0].mults, b[1]
+    m, k = b
     return all(
-        (Partition(m[:v - 1] + (c - 1,) + m[v:]), k) in closure.keys
+        (Partition(m[:v - 1] + (c - 1,) + m[v:]).mults, k) in closure.keys
         for v, c in enumerate(m, 1)
         if c
     )
@@ -790,7 +828,7 @@ def test_witness_survivors_keep_every_target_key_within_the_bound():
     outsider, heavy = key([1] * 5, 4), key([3] * 5, 4)
     assert not removals_held(outsider, closure)
     survivors = witness_survivors(closure, {outsider, heavy})
-    assert outsider in survivors and heavy not in survivors and heavy[0].weight > bound
+    assert outsider in survivors and heavy not in survivors and weight_of(heavy[0]) > bound
     assert survivors == [b for b in candidate_keys(4, bound) if b in set(survivors)]
 
 
@@ -869,7 +907,7 @@ def candidate_keys_per_layer(n, wt_bound):
     for k in range(1, n + 1):
         for w in range(0, wt_bound + 1):
             for lam in enumerate_partitions(w, k - 1):
-                yield lam, k
+                yield lam.mults, k
 
 
 def charged(keys):
@@ -885,6 +923,14 @@ def test_candidate_keys_match_the_per_layer_route():
             got, units = charged(candidate_keys(n, bound))
             assert (got, units) == charged(candidate_keys_per_layer(n, bound)), (n, bound)
             assert units == len(got) == candidate_count(n, bound)
+
+
+def test_center_suite_samples_the_candidates_up_to_weight_4():
+    # suite_centers reads its keys straight from enumerate_partitions, in the
+    # candidates' order, so its random stream is the one it drew before
+    for n in range(1, 9):
+        got = [(lam.mults, k) for lam, k in _center_keys(n)]
+        assert got == list(candidate_keys(n, 4)), n
 
 
 def test_candidate_count_refuses_a_negative_bound():
@@ -903,7 +949,7 @@ def test_candidate_monomials_cover_all_layers():
     assert key([], 1) in cands
     assert key([2, 2], 3) in cands
     assert len(cands) == len(set(cands))
-    assert all(lam.weight <= 4 for lam, _ in cands)
+    assert all(weight_of(mults) <= 4 for mults, _ in cands)
 
 
 def test_saturated_set_validation():
@@ -939,7 +985,7 @@ def test_constituent_keys_match_the_poly_route():
 def reference_closure(gens, wt_bound, n):
     """``saturated_closure`` by monomials and ``comm_constituents``; the keys
     ``gens`` go in and the keys of the closure come out."""
-    members = {MonomialElement(1, lam, k, n) for lam, k in gens}
+    members = {element_of(b, n) for b in gens}
     discarded = set()
     frontier = set(members)
     while frontier:
@@ -958,9 +1004,9 @@ def reference_closure(gens, wt_bound, n):
 def reference_normalizes(b, H):
     """``normalizes`` of the key ``b`` by monomials and ``comm_constituents``."""
     verdict = True
-    b = MonomialElement(1, *b, H.n)
-    for lam, k in H.keys:
-        for part in comm_constituents(b, MonomialElement(1, lam, k, H.n)):
+    b = element_of(b, H.n)
+    for other in H.keys:
+        for part in comm_constituents(b, element_of(other, H.n)):
             if as_key(part) in H.keys:
                 continue
             if part.lam.weight > H.closure_bound or H.discards > 0:

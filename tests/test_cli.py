@@ -13,6 +13,7 @@ import pytest
 from hyperwreath import budget, verify
 from hyperwreath.chains import enumerate_N
 from hyperwreath.cli import CalcError, _verify_config_error, eval_expression, main, suite_options
+from hyperwreath.partitions import weight_of
 from hyperwreath.verify import random_group_element
 from hyperwreath.wreath import GroupElement, comm, parse_element
 
@@ -209,6 +210,8 @@ def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
     ("verify --suite chain --n 5 --imax 8", 8635),
     ("chain --n 8 --imax 60 --format json", 1352),
     ("verify --suite chain --n 3 --imax 10 --wt-bound 100", 29_003),
+    ("verify --suite chain --n 8 --imax 16", 381_456),
+    ("verify --suite all --seed 0", 270_343),
 ])
 def test_commands_charge_pinned_units(capsys, monkeypatch, argv, units):
     monkeypatch.setattr(budget, "LIMIT", units)
@@ -233,7 +236,7 @@ def test_library_callers_run_without_a_budget(monkeypatch):
 def test_wt_bound_floor_is_the_heaviest_generator_before_step_imax():
     for n in range(2, 9):
         for j in range(0, 21):
-            floor = max(lam.weight for lam, _ in enumerate_N(j, n))
+            floor = max(weight_of(mults) for mults, _ in enumerate_N(j, n))
             options = {"n": n, "imax": j + 1}
             assert _verify_config_error("chain", {**options, "wt_bound": floor}) is None
             assert _verify_config_error("chain", {**options, "wt_bound": floor - 1}) == (

@@ -42,7 +42,7 @@ def test_bracket_case_split():
 
 
 def test_bracket_keys_zero_cases():
-    coeff, _ = bracket_keys((Partition.from_parts([2]), 3), (EMPTY, 1))
+    coeff, _ = bracket_keys((Partition.from_parts([2]).mults, 3), ((), 1))
     assert coeff == 0  # no part equal to 1 to differentiate
 
 

@@ -43,9 +43,9 @@ ENTRIES = {
     "parse_lie": lambda k, top: parse_lie(f"{text(top)} d{k}", N),
     # the increment along x_k sits in layer k of W_k, so there is no layer n + 1
     "Poly.difference": lambda k, top: Poly.variable(1).difference(k, poly(top)),
-    "SaturatedSet": lambda k, top: SaturatedSet(N, [(EMPTY, 1), (lam(top), k)], 4),
-    "normalizes": lambda k, top: normalizes((lam(top), k), closure()),
-    "idealizes": lambda k, top: idealizes((lam(top), k), closure()),
+    "SaturatedSet": lambda k, top: SaturatedSet(N, [((), 1), (lam(top).mults, k)], 4),
+    "normalizes": lambda k, top: normalizes((lam(top).mults, k), closure()),
+    "idealizes": lambda k, top: idealizes((lam(top).mults, k), closure()),
 }
 
 BAD = {"layer 0": (0, 0), "layer n+1": (N + 1, 0), "top = k": (2, 2)}
@@ -61,6 +61,32 @@ def test_every_entry_point_applies_the_one_layer_rule(entry, case):
     with pytest.raises(ValueError) as got:
         ENTRIES[entry](k, top)
     assert str(got.value) == str(want.value)
+
+
+# entry point of the chain machinery -> call with one key, at n = N
+KEY_ENTRIES = {
+    "SaturatedSet": lambda key: SaturatedSet(N, [((), 1), key], 4),
+    "saturated_closure": lambda key: saturated_closure([((), 1), key], 4, N),
+    "normalizes": lambda key: normalizes(key, closure()),
+    "idealizes": lambda key: idealizes(key, closure()),
+}
+
+# keys whose multiplicities are not the one form of a partition; a trailing
+# zero would make ((1, 0), 3) a key apart from ((1,), 3)
+NON_CANONICAL = {
+    "trailing zero": ((1, 0), 3),
+    "only a zero": ((0,), 2),
+    "a partition": (Partition.from_parts([1]), 3),
+    "a negative entry": ((-1, 1), 3),
+    "a float entry": ((1.0,), 3),
+}
+
+
+@pytest.mark.parametrize("case", NON_CANONICAL)
+@pytest.mark.parametrize("entry", KEY_ENTRIES)
+def test_every_chain_entry_point_refuses_a_non_canonical_key(entry, case):
+    with pytest.raises(ValueError, match="no trailing zero"):
+        KEY_ENTRIES[entry](NON_CANONICAL[case])
 
 
 def test_a_huge_variable_index_is_refused_before_parsing():
