@@ -3,10 +3,11 @@
 The heavy loops charge deterministic units before they run: a growth table
 the generators of all its steps, counted before any is enumerated, a term-dict
 product its pair count, a group product or inverse one unit per layer, a
-commutator the keys it yields, a candidate sweep its candidates and an orbit
-grid its act calls.  An idealizer test charges the brackets it took right after,
-since it stops at the first escape.  A verdict walks the members of its
-closure in an order fixed by their keys, so its units depend only on those
+commutator the keys it yields, a normalizer verdict the constituent cells of
+each partner class it takes, a candidate sweep its candidates and an orbit
+grid its act calls.  An idealizer test charges the partner classes it took
+right after, since it stops at the first escape.  A verdict walks the partner
+classes of its basis in sorted order, so its units depend only on the basis's
 keys.  The units do not depend on the machine, so neither does a refusal.
 Powers of an unmoved variable are free: each is one monomial, not a product.
 Charges count only inside a ``WorkBudget`` block, which ``cli.main`` opens
@@ -21,9 +22,10 @@ from typing import Optional
 # Units one command may charge.  It admits the heaviest product the README
 # shows, [x1 + 1]D2 * [x2^140]D3 (1,401,551 units).  On a 2-vCPU VM under
 # Python 3.11, calc spends about 0.8 million units a second and verify
-# --suite chain 0.5-2.4 million (--n 4 --imax 40: 394,360 units in 0.5 s),
-# so either refuses a runaway run within about two seconds (verify --suite
-# chain --n 4 --imax 120, which needs 17,415,089 units, in 1.8 s).
+# --suite chain 2-7 million (--n 4 --imax 40: 394,523 units in 0.3 s, --n 8
+# --imax 20: 984,318 units in 0.3 s, each with about 0.1 s of interpreter
+# start), so either refuses a runaway run within about two seconds (verify
+# --suite chain --n 4 --imax 120, which needs 17,415,598 units, in 0.4 s).
 LIMIT = 1_500_000
 
 

@@ -14,10 +14,11 @@ import csv
 import io
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import add
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .budget import charge
-from .liering import Key, bracket_keys
+from .liering import Key
 from .ordinals import OrdinalCNF
 from .partitions import (Frozen, check_index, check_layer, enumerate_partitions, partition_counts,
                          replace_part, seq_at, sequences_abc, weight_of)
@@ -75,6 +76,9 @@ def check_key(key: Key, n: int) -> None:
 # -- saturated sets ----------------------------------------------------------
 
 
+Cell = Tuple[int, int, int]  # (weight, degree, layer)
+
+
 class SaturatedSet(Frozen):
     """A weight-bounded saturated basis, such as a chain step's generator set
     or a closure: monic monomials ``x^lam Delta_k`` of ``W_n``, given by their
@@ -85,31 +89,55 @@ class SaturatedSet(Frozen):
     ``closure_bound`` is the admitted weight, and a heavier key is refused:
     this is the one place the bound rule is checked.  ``discards`` counts the
     constituents a closure dropped against it.  The index lists its members in
-    the order of ``(k, mults)``, so ``partners``, and the units a verdict
-    charges, depend only on the keys.
+    the order of ``(k, mults)``, so ``partners`` depends only on the keys.
+
+    A key lies in the cell ``(wt lam, deg lam, k)``, which holds every
+    partition of that weight into that many parts below ``k``.  Each step of
+    the chain adds whole cells, so a generator set is a union of cells, and
+    ``cell_union`` records whether these keys are: each cell holds as many of
+    them as it has partitions, counted by ``_is_cell_union`` from one table.
+    The verdicts read three more indexes, each sorted, so the units they
+    charge depend only on the keys: ``cells``, the cells of the keys;
+    ``lower``, the classes ``(wt theta, deg theta)`` of the members in each
+    layer; and ``upper``, the classes ``(u, wt theta, deg theta, mult_p
+    theta)`` of the members with each part ``p``.
     """
 
-    __slots__ = ("n", "keys", "closure_bound", "discards", "by_layer", "by_part")
+    __slots__ = ("n", "keys", "closure_bound", "discards", "by_layer", "by_part",
+                 "cells", "cell_union", "lower", "upper")
 
     def __init__(self, n: int, keys: Iterable[Key], closure_bound: int, discards: int = 0):
+        keys = list(keys)
+        for key in keys:  # before hashing, so a key that is a list gets the one error
+            check_key(key, n)
         keys = frozenset(keys)
         by_layer: Dict[int, List[Key]] = {}
         by_part: Dict[int, List[Key]] = {}
+        cells: Dict[Cell, int] = {}
+        lower: Dict[int, Set[Tuple[int, int]]] = {}
+        upper: Dict[int, Set[Tuple[int, int, int, int]]] = {}
         for key in sorted(keys, key=lambda b: (b[1], b[0])):
-            check_key(key, n)
             mults, k = key
-            if weight_of(mults) > closure_bound:
+            w, d = weight_of(mults), sum(mults)
+            if w > closure_bound:
                 raise ValueError("wt_bound is below the heaviest generator")
+            cells[w, d, k] = cells.get((w, d, k), 0) + 1
             by_layer.setdefault(k, []).append(key)
+            lower.setdefault(k, set()).add((w, d))
             for part, mult in enumerate(mults, 1):
                 if mult:
                     by_part.setdefault(part, []).append(key)
+                    upper.setdefault(part, set()).add((k, w, d, mult))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "closure_bound", closure_bound)
         object.__setattr__(self, "discards", discards)
         object.__setattr__(self, "by_layer", by_layer)
         object.__setattr__(self, "by_part", by_part)
+        object.__setattr__(self, "cells", frozenset(cells))
+        object.__setattr__(self, "cell_union", _is_cell_union(cells))
+        object.__setattr__(self, "lower", {u: sorted(c) for u, c in lower.items()})
+        object.__setattr__(self, "upper", {p: sorted(c) for p, c in upper.items()})
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -123,6 +151,31 @@ class SaturatedSet(Frozen):
             if mult:
                 yield from self.by_layer.get(u, ())
         yield from self.by_part.get(k, ())
+
+
+def _is_cell_union(cells: Dict[Cell, int]) -> bool:
+    """Whether each cell ``(w, d, k)`` holds as many keys as there are
+    partitions of w into exactly d parts below k.
+
+    One table ``ways[d][w]`` counts them: the pass for part p adds to row d
+    the partitions of w - p into d - 1 parts up to p, so after parts
+    1..k - 1 it holds the counts of layer k, read before the next pass.
+    """
+    if not cells:
+        return True
+    top_w = max(w for w, _, _ in cells)
+    top_d = max(d for _, d, _ in cells)
+    ways = [[1] + [0] * top_w] + [[0] * (top_w + 1) for _ in range(top_d)]
+    part = 0
+    for (w, d, k), size in sorted(cells.items(), key=lambda item: item[0][2]):
+        while part < k - 1:
+            part += 1
+            for row in range(1, top_d + 1):
+                counts = ways[row]
+                ways[row] = counts[:part] + list(map(add, counts[part:], ways[row - 1]))
+        if ways[d][w] != size:
+            return False
+    return True
 
 
 # -- generator enumeration -----------------------------------------------------
@@ -500,8 +553,8 @@ def saturated_closure(gens: Iterable[Key], wt_bound: int, n: int) -> SaturatedSe
     The loop ends: each round adds keys of weight up to the bound, of which
     there are finitely many, or is the last.
     """
-    members = frozenset(gens)
-    closure = SaturatedSet(n, members, wt_bound)
+    closure = SaturatedSet(n, gens, wt_bound)
+    members = closure.keys
     discarded: Set[Key] = set()
     frontier = members
     while frontier:
@@ -527,6 +580,32 @@ def saturated_closure(gens: Iterable[Key], wt_bound: int, n: int) -> SaturatedSe
 # -- normalizer / idealizer verification ----------------------------------------
 
 
+def _partner_classes(key: Key, H: SaturatedSet) -> Iterator[Tuple[int, int, int, int, int, int]]:
+    """The partner classes of ``key`` in ``H``, each as the walk
+    ``(w, d, dw, dd, layer, m)``: the s-th constituent of a partner of the
+    class lies in the cell ``(w + s dw, d + s dd, layer)``, for s = 1..m.
+
+    For a part u of ``lam``, the members ``(theta, u)`` of layer u give
+    ``lam - s e_u + s theta`` in layer k with m = mult_u(lam), so a class is
+    ``(wt theta, deg theta)``; for a member ``(theta, u)`` with a part k, the
+    roles swap, and the class ``(u, wt theta, deg theta, mult_k theta)``
+    fixes m as well.  The classes come in the order of ``H``'s sorted index.
+    Refuses a basis that is not a union of cells, where a cell would not
+    decide whether a constituent is in it.
+    """
+    if not H.cell_union:
+        raise ValueError("the basis is not a union of (weight, degree, layer) cells, "
+                         "so a cell does not decide its constituents")
+    lam, k = key
+    w, d = weight_of(lam), sum(lam)
+    for u, m in enumerate(lam, 1):
+        if m:
+            for tw, td in H.lower.get(u, ()):
+                yield w, d, tw - u, td - 1, k, m
+    for u, tw, td, m in H.upper.get(k, ()):
+        yield tw, td, w - k, d - 1, u, m
+
+
 def normalizes(key: Key, H: SaturatedSet) -> Optional[bool]:
     """Bounded check that the monic monomial ``key`` normalizes the saturated
     subgroup with basis ``H``.
@@ -536,16 +615,29 @@ def normalizes(key: Key, H: SaturatedSet) -> Optional[bool]:
     of a complete closure is conclusive evidence against; anything past the
     bound (or any escape when the closure itself discarded constituents) is
     not decidable at this bound and yields None ("unknown").
+
+    The constituents of ``constituent_keys`` are not built.  ``H`` is a union
+    of cells, so a constituent is in it exactly when its cell is, and all
+    partners of one class give the same cells.  So the walk takes each of
+    ``_partner_classes`` and looks up its m cells, three ints each, charged
+    when the class is taken.  A class is four ints at most, so the classes
+    grow polynomially with the bound, where the partners grow like a
+    partition count.  A basis that is not a union of cells is refused with a
+    ``ValueError``, as ``check_candidates`` refuses a lossy one.
     """
     check_key(key, H.n)
+    cells, bound = H.cells, H.closure_bound
     any_unknown = False
-    for other in H.partners(key):
-        for out in constituent_keys(key, other):
-            if out in H.keys:
+    for w, d, dw, dd, layer, m in _partner_classes(key, H):
+        charge(m)
+        for _ in range(m):
+            w += dw
+            d += dd
+            if (w, d, layer) in cells:
                 continue
             if H.discards > 0:
                 return None  # no escape can be conclusive against a lossy basis
-            if weight_of(out[0]) > H.closure_bound:
+            if w > bound:
                 any_unknown = True
             else:
                 return False
@@ -557,20 +649,25 @@ def idealizes(key: Key, H: SaturatedSet) -> bool:
     spanned by the basis ``H``: each bracket with a member is again in the
     span.
 
-    Only the partners of ``key`` in ``H`` are visited: by the layer rule the
+    Only the partners of ``key`` in ``H`` meet it: by the layer rule the
     bracket with any other member is zero, as ``bracket_keys`` takes a
-    derivative along the lower layer.  Like ``normalizes``, it refuses a bad
-    key, such as one outside ``W_n``, for which that walk would not be exact.
+    derivative along the lower layer.  The bracket with a partner is the
+    s = 1 constituent of the commutator, with the coefficient
+    ``mult_u(lam)`` or ``-mult_k(theta)``, never 0, so the walk looks up the
+    first cell of each of ``_partner_classes`` and charges the classes it
+    took.  Like ``normalizes``, it refuses a basis
+    that is not a union of cells, where a cell would not decide a bracket,
+    and a bad key, such as one outside ``W_n``, for which the walk would not
+    be exact.
     """
     check_key(key, H.n)
-    h_keys = H.keys
+    cells = H.cells
     verdict, calls = True, 0
-    for calls, other in enumerate(H.partners(key), 1):
-        coeff, out = bracket_keys(key, other)
-        if coeff != 0 and out not in h_keys:
+    for calls, (w, d, dw, dd, layer, _) in enumerate(_partner_classes(key, H), 1):
+        if (w + dw, d + dd, layer) not in cells:
             verdict = False
             break
-    charge(calls)  # after the fact: at most one call per partner of ``key``
+    charge(calls)  # after the fact: at most one call per partner class of ``key``
     return verdict
 
 

@@ -564,7 +564,9 @@ def test_normalizes_unknown_when_bound_hides_the_answer():
     tiny = saturated_closure(enumerate_N(-1, n), 0, n=n)
     probe = key([1] * 5, 2)  # all escaping constituents are over-bound
     assert normalizes(probe, tiny) is None
-    roomy = saturated_closure(enumerate_N(-1, n), 6, n=n)
+    # x1 D2 escapes at weight 1, which a bound of 1 admits
+    assert normalizes(probe, saturated_closure(enumerate_N(-1, n), 1, n=n)) is False
+    roomy =saturated_closure(enumerate_N(-1, n), 6, n=n)
     assert normalizes(probe, roomy) is False
 
 
@@ -587,17 +589,61 @@ def test_idealizes_examples():
     assert idealizes(key([1, 1, 1], n), closure) is False
 
 
-def idealizes_full_walk(key, h_keys):
-    """``idealizes`` over every member of ``h_keys``, not only the partners of
-    ``key``; it charges the brackets it took."""
+# -- the class walk against the key walk ----------------------------------------------
+
+
+def partner_classes(b, H):
+    """The classes of the partners of the key ``b`` in ``H``, each with the
+    number of constituents its partners have with ``b``: ``(u, wt theta, deg
+    theta)`` for a member in a layer u below b's, and ``(u, wt theta, deg
+    theta, mult_k theta)`` for one above."""
+    lam, k = b
+    classes = {}
+    for theta, u in H.partners(b):
+        if u < k:
+            classes[u, weight_of(theta), sum(theta)] = lam[u - 1]
+        else:
+            classes[u, weight_of(theta), sum(theta), theta[k - 1]] = theta[k - 1]
+    return classes
+
+
+def key_walk_normalizes(b, H):
+    """``normalizes`` by keys: every ``constituent_keys`` of ``b`` with each
+    of its partners in ``H``, looked up in the keys of ``H``, which need not
+    be a union of cells."""
+    any_unknown = False
+    for other in H.partners(b):
+        for out in constituent_keys(b, other):
+            if out in H.keys:
+                continue
+            if H.discards > 0:
+                return None
+            if weight_of(out[0]) > H.closure_bound:
+                any_unknown = True
+            else:
+                return False
+    return None if any_unknown else True
+
+
+def key_walk_idealizes(b, H, members=None):
+    """``idealizes`` by keys: ``bracket_keys`` of ``b`` with each of its
+    partners in ``H``, or with every key of ``members``, one unit per bracket
+    taken."""
     verdict, calls = True, 0
-    for calls, other in enumerate(h_keys, 1):
-        coeff, out = bracket_keys(key, other)
-        if coeff != 0 and out not in h_keys:
+    for calls, other in enumerate(H.partners(b) if members is None else members, 1):
+        coeff, out = bracket_keys(b, other)
+        if coeff != 0 and out not in H.keys:
             verdict = False
             break
     charge(calls)
     return verdict
+
+
+def spent(call, *args):
+    """The result of ``call(*args)`` and the units it charged."""
+    with WorkBudget() as budget:
+        out = call(*args)
+    return out, budget.limit - budget.left
 
 
 def step_closure(n, i):
@@ -611,9 +657,9 @@ def assert_mirror_matches_full_walk(closure, bound):
     for b in candidate_keys(closure.n, bound):
         with WorkBudget() as budget:
             verdict = idealizes(b, closure)
-        assert verdict == idealizes_full_walk(b, closure.keys), b
-        if verdict:  # a passing key took the bracket with each partner
-            assert budget.limit - budget.left == sum(1 for _ in closure.partners(b))
+        assert verdict == key_walk_idealizes(b, closure, closure.keys), b
+        if verdict:  # a passing key looked up the bracket of each partner class
+            assert budget.limit - budget.left == len(partner_classes(b, closure))
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -645,22 +691,15 @@ def histories(keys):
     return [keys, keys[::-1], grown]
 
 
-def assert_units_do_not_depend_on_insertion_order(H, bound):
+def assert_units_do_not_depend_on_insertion_order(H, candidates):
     """``H``'s keys, as a ``SaturatedSet`` built from each of their
     ``histories``, give the same partners and charge the same units for
-    ``normalizes`` and ``idealizes`` over the candidates."""
+    ``normalizes`` and ``idealizes`` over the ``candidates``."""
     sets = [SaturatedSet(H.n, h, H.closure_bound, H.discards) for h in histories(H.keys)]
-    candidates = list(candidate_keys(H.n, bound))
     for b in candidates:
         assert len({tuple(s.partners(b)) for s in sets}) == 1, b
-    units = set()
-    for s in sets:
-        with WorkBudget() as budget:
-            for b in candidates:
-                normalizes(b, s)
-                idealizes(b, s)
-        units.add(budget.limit - budget.left)
-    assert len(units) == 1
+    verdicts = lambda s: tuple((normalizes(b, s), idealizes(b, s)) for b in candidates)
+    assert len({spent(verdicts, s) for s in sets}) == 1
 
 
 @pytest.mark.parametrize("n, i", [(4, 12), (5, 8), (7, 5)])
@@ -668,11 +707,114 @@ def test_verdict_units_do_not_depend_on_insertion_order(n, i):
     closure, bound = step_closure(n, i)
     # the histories iterate in three orders, so a walk in set order would differ
     assert len({tuple(frozenset(h)) for h in histories(closure.keys)}) == 3
-    assert_units_do_not_depend_on_insertion_order(closure, bound)
+    assert_units_do_not_depend_on_insertion_order(closure, list(candidate_keys(closure.n, bound)))
 
 
 def test_verdict_units_do_not_depend_on_insertion_order_on_a_bounded_closure():
-    assert_units_do_not_depend_on_insertion_order(bounded_closure(), 6)
+    assert_units_do_not_depend_on_insertion_order(bounded_closure(), list(candidate_keys(3, 6)))
+
+
+# -- the class walk over every survivor ----------------------------------------------
+
+
+def assert_class_walk_matches_the_key_walk(H, keys):
+    """Both verdicts of each of ``keys`` against ``H`` equal the key walk's.
+    A verdict that walked every class charged one partner's constituents, or
+    one bracket, per class; and the units over ``keys`` do not depend on the
+    order ``H``'s keys came in."""
+    walked = {True} if H.discards else {True, None}
+    for b in keys:
+        classes = partner_classes(b, H)
+        verdict, units = spent(normalizes, b, H)
+        assert verdict == key_walk_normalizes(b, H), b
+        if verdict in walked:
+            assert units == sum(classes.values()), b
+        verdict, units = spent(idealizes, b, H)
+        assert verdict == key_walk_idealizes(b, H), b
+        if verdict:
+            assert units == len(classes), b
+    assert_units_do_not_depend_on_insertion_order(H, keys)
+
+
+def step_basis(n, i):
+    """The basis and the target of ``check_chain_step(n, i)``."""
+    bound = max(2 * (i + 2), heaviest_generator_weight(i - 1, n))
+    prev = enumerate_N(i - 1, n)
+    return SaturatedSet(n, prev, bound), prev.union(_new_keys(i, n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_class_walk_matches_the_key_walk_on_every_survivor(n):
+    for i in range(1, 13):
+        H, target = step_basis(n, i)
+        assert_class_walk_matches_the_key_walk(H, witness_survivors(H, target))
+
+
+@pytest.mark.parametrize("n, i", [(8, 30), (4, 60)])
+def test_class_walk_matches_the_key_walk_deep_in_the_chain(n, i):
+    H, target = step_basis(n, i)
+    assert_class_walk_matches_the_key_walk(H, witness_survivors(H, target))
+
+
+def test_class_walk_matches_the_key_walk_on_a_lossy_basis():
+    # against discards every escape is unknown, so every candidate is compared
+    for n, i in ((3, 1), (5, 6)):
+        H, _ = step_basis(n, i)
+        lossy = SaturatedSet(n, H.keys, H.closure_bound, discards=1)
+        verdicts = [normalizes(b, lossy) for b in candidate_keys(n, H.closure_bound)]
+        assert {None, True} <= set(verdicts)
+        assert_class_walk_matches_the_key_walk(lossy, list(candidate_keys(n, H.closure_bound)))
+
+
+def test_normalizes_looks_up_every_constituent_cell_of_a_class():
+    # x2^2 D3 with x1 D2 has two constituents, x1 x2 D3 in the basis and
+    # x1^2 D3 out of it; the bracket is the first, so only normalizes fails
+    b, partner = key([2, 2], 3), key([1], 2)
+    H = SaturatedSet(3, [partner, key([2, 1], 3)], 6)
+    assert H.cell_union
+    assert list(constituent_keys(b, partner)) == [key([2, 1], 3), key([1, 1], 3)]
+    assert normalizes(b, H) is False and key_walk_normalizes(b, H) is False
+    assert idealizes(b, H) is True and key_walk_idealizes(b, H) is True
+
+
+def test_generator_sets_are_unions_of_cells():
+    # every key of a cell (weight, degree, layer) of a generator set is in it:
+    # here by enumerating the partitions of each cell, in SaturatedSet by one table
+    for n in range(2, 8):
+        for i in range(-1, 11):
+            keys = enumerate_N(i, n)
+            cells = {}
+            for mults, k in keys:
+                cells.setdefault((weight_of(mults), sum(mults), k), set()).add(mults)
+            for (w, d, k), held in cells.items():
+                assert held == {lam.mults for lam in enumerate_partitions(w, k - 1)
+                                if lam.degree == d}, (n, i, w, d, k)
+            bound = heaviest_generator_weight(i, n)
+            assert SaturatedSet(n, keys, bound).cell_union, (n, i)
+            if i > 6:
+                continue
+            # one key short of a cell breaks the count; a whole cell less does not
+            for (w, d, k), held in cells.items():
+                cell = {(mults, k) for mults in held}
+                assert SaturatedSet(n, keys - cell, bound).cell_union
+                if len(held) > 1:
+                    assert not SaturatedSet(n, keys - {min(cell)}, bound).cell_union
+
+
+def test_verdicts_refuse_a_basis_that_is_not_a_union_of_cells():
+    keys = enumerate_N(3, 4)
+    cell = sorted(b for b in keys if b[1] == 4 and weight_of(b[0]) == 4 and sum(b[0]) == 2)
+    assert cell == [key([2, 2], 4), key([3, 1], 4)]
+    assert SaturatedSet(4, keys, 10).cell_union
+    for dropped in cell:
+        H = SaturatedSet(4, keys - {dropped}, 10)
+        assert not H.cell_union
+        for verdict in (normalizes, idealizes):
+            for b in (key([], 4), key([1], 2), dropped):
+                with pytest.raises(ValueError, match="not a union of"):
+                    verdict(b, H)
+        with pytest.raises(ValueError, match="not a union of"):
+            check_candidates(4, H, enumerate_N(4, 4))
 
 
 def test_center_membership_examples():
@@ -730,8 +872,9 @@ def test_chain_steps_are_pinned():
 
 def test_chain_steps_and_their_units_are_pinned_through_n8():
     # SHA-256 of the repr of every ChainStepCheck field and the units the step
-    # charges, for n = 2..8, i = 1..8, recorded before chain keys became
-    # multiplicity tuples
+    # charges, for n = 2..8, i = 1..8; the fields were recorded before chain
+    # keys became multiplicity tuples, the units when the verdicts came to walk
+    # partner classes
     rows = []
     for n in range(2, 9):
         for i in range(1, 9):
@@ -739,7 +882,7 @@ def test_chain_steps_and_their_units_are_pinned_through_n8():
                 step = check_chain_step(n, i)
             rows.append(repr((astuple(step), budget.limit - budget.left)))
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
-        "cb9b88cbf8cf6413e27c2fe5b365b0a4406b69463239d8a201f56953e0f5366e"
+        "4663d65743ec22c4ad0c547091efcc8db89bbec55845c80747e30b221d4d6113"
     )
 
 
@@ -912,9 +1055,7 @@ def candidate_keys_per_layer(n, wt_bound):
 
 def charged(keys):
     """The list of ``keys`` and the units taking them charged."""
-    with WorkBudget() as budget:
-        out = list(keys)
-    return out, budget.limit - budget.left
+    return spent(list, keys)
 
 
 def test_candidate_keys_match_the_per_layer_route():

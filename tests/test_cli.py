@@ -207,11 +207,12 @@ def test_runaway_input_is_refused_at_the_real_budget(capsys, argv):
 
 @pytest.mark.parametrize("argv, units", [
     ("calc inv([x1^16]D2*[x2^16]D3) --n 3", 691),
-    ("verify --suite chain --n 5 --imax 8", 8635),
+    ("verify --suite chain --n 5 --imax 8", 8710),
     ("chain --n 8 --imax 60 --format json", 1352),
     ("verify --suite chain --n 3 --imax 10 --wt-bound 100", 29_003),
-    ("verify --suite chain --n 8 --imax 16", 381_456),
-    ("verify --suite all --seed 0", 270_343),
+    ("verify --suite chain --n 8 --imax 16", 378_454),
+    ("verify --suite chain --n 8 --imax 20", 984_318),
+    ("verify --suite all --seed 0", 270_358),
 ])
 def test_commands_charge_pinned_units(capsys, monkeypatch, argv, units):
     monkeypatch.setattr(budget, "LIMIT", units)

@@ -79,6 +79,8 @@ NON_CANONICAL = {
     "a partition": (Partition.from_parts([1]), 3),
     "a negative entry": ((-1, 1), 3),
     "a float entry": ((1.0,), 3),
+    # refused before the key is hashed, not with an unhashable-type error
+    "a list": ([1], 3),
 }
 
 
