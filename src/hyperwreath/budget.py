@@ -22,10 +22,11 @@ from typing import Optional
 # Units one command may charge.  It admits the heaviest product the README
 # shows, [x1 + 1]D2 * [x2^140]D3 (1,401,551 units).  On a 2-vCPU VM under
 # Python 3.11, calc spends about 0.8 million units a second and verify
-# --suite chain 2-7 million (--n 4 --imax 40: 394,523 units in 0.3 s, --n 8
-# --imax 20: 984,318 units in 0.3 s, each with about 0.1 s of interpreter
-# start), so either refuses a runaway run within about two seconds (verify
-# --suite chain --n 4 --imax 120, which needs 17,415,598 units, in 0.4 s).
+# --suite chain 5-8 million past interpreter start (--n 4 --imax 40: 394,523
+# units in 0.17 s, --n 8 --imax 20: 984,318 units in 0.21 s, each with about
+# 0.09 s of interpreter start; CLI medians of 7 runs), so either refuses a
+# runaway run within about two seconds (verify --suite chain --n 4 --imax
+# 120, which needs 17,415,598 units, in 0.27 s).
 LIMIT = 1_500_000
 
 

@@ -66,11 +66,15 @@ def check_key(key: Key, n: int) -> None:
     """The check of a key at a public entry point: its multiplicities in the one
     form of a partition, and the layer rule of ``W_n``."""
     mults, k = key
-    if type(mults) is not tuple or mults[-1:] == (0,) or not all(
-            isinstance(v, int) and v >= 0 for v in mults):
-        raise ValueError(f"key multiplicities must be non-negative ints with no trailing zero, "
-                         f"in a tuple, got {mults!r}")
-    check_layer(k, n, len(mults))
+    if type(mults) is tuple and mults[-1:] != (0,):
+        for v in mults:  # a loop, not all() over a generator: this runs once per verdict
+            if not isinstance(v, int) or v < 0:
+                break
+        else:
+            check_layer(k, n, len(mults))
+            return
+    raise ValueError(f"key multiplicities must be non-negative ints with no trailing zero, "
+                     f"in a tuple, got {mults!r}")
 
 
 # -- saturated sets ----------------------------------------------------------
@@ -235,16 +239,17 @@ def _increment(j: int, n: int, tables: Dict[int, list]) -> Iterator[Tuple[int, i
         yield d, k, table
 
 
-def _new_keys(j: int, n: int) -> List[Key]:
+def _new_keys(j: int, n: int, tables: Optional[Dict[int, list]] = None) -> List[Key]:
     """Keys of the monic monomials that join the chain at step j: at step 0
     the single-variable linear monomials, later the partitions of each
-    ``_increment_shapes`` triple into d parts below k, read off ``_increment``.
+    ``_increment_shapes`` triple into d parts below k, read off ``_increment``
+    with the remainder tables of ``tables``, a fresh dict when not given.
     """
     if j == 0:
         return [((0,) * (v - 1) + (1,), k) for k in range(2, n + 1) for v in range(1, k)]
     return [
         ((d - parts,) + mults, k)
-        for d, k, table in _increment(j, n, {})
+        for d, k, table in _increment(j, n, {} if tables is None else tables)
         for parts, mults, _, _ in table
         if parts <= d
     ]
@@ -262,8 +267,9 @@ def enumerate_N(i: int, n: int) -> FrozenSet[Key]:
     if i < -1:
         raise ValueError("i must be >= -1")
     members: Set[Key] = {((), k) for k in range(1, n + 1)}
+    tables: Dict[int, list] = {}  # one remainder table per m, shared by every step
     for j in range(0, i + 1):
-        members.update(_new_keys(j, n))
+        members.update(_new_keys(j, n, tables))
     return frozenset(members)
 
 
@@ -580,30 +586,8 @@ def saturated_closure(gens: Iterable[Key], wt_bound: int, n: int) -> SaturatedSe
 # -- normalizer / idealizer verification ----------------------------------------
 
 
-def _partner_classes(key: Key, H: SaturatedSet) -> Iterator[Tuple[int, int, int, int, int, int]]:
-    """The partner classes of ``key`` in ``H``, each as the walk
-    ``(w, d, dw, dd, layer, m)``: the s-th constituent of a partner of the
-    class lies in the cell ``(w + s dw, d + s dd, layer)``, for s = 1..m.
-
-    For a part u of ``lam``, the members ``(theta, u)`` of layer u give
-    ``lam - s e_u + s theta`` in layer k with m = mult_u(lam), so a class is
-    ``(wt theta, deg theta)``; for a member ``(theta, u)`` with a part k, the
-    roles swap, and the class ``(u, wt theta, deg theta, mult_k theta)``
-    fixes m as well.  The classes come in the order of ``H``'s sorted index.
-    Refuses a basis that is not a union of cells, where a cell would not
-    decide whether a constituent is in it.
-    """
-    if not H.cell_union:
-        raise ValueError("the basis is not a union of (weight, degree, layer) cells, "
-                         "so a cell does not decide its constituents")
-    lam, k = key
-    w, d = weight_of(lam), sum(lam)
-    for u, m in enumerate(lam, 1):
-        if m:
-            for tw, td in H.lower.get(u, ()):
-                yield w, d, tw - u, td - 1, k, m
-    for u, tw, td, m in H.upper.get(k, ()):
-        yield tw, td, w - k, d - 1, u, m
+_NOT_CELL_UNION = ("the basis is not a union of (weight, degree, layer) cells, "
+                   "so a cell does not decide its constituents")
 
 
 def normalizes(key: Key, H: SaturatedSet) -> Optional[bool]:
@@ -618,25 +602,54 @@ def normalizes(key: Key, H: SaturatedSet) -> Optional[bool]:
 
     The constituents of ``constituent_keys`` are not built.  ``H`` is a union
     of cells, so a constituent is in it exactly when its cell is, and all
-    partners of one class give the same cells.  So the walk takes each of
-    ``_partner_classes`` and looks up its m cells, three ints each, charged
-    when the class is taken.  A class is four ints at most, so the classes
-    grow polynomially with the bound, where the partners grow like a
-    partition count.  A basis that is not a union of cells is refused with a
-    ``ValueError``, as ``check_candidates`` refuses a lossy one.
+    partners of one class give the same cells.  For a part u of ``lam``, the
+    members ``(theta, u)`` of layer u give ``lam - s e_u + s theta`` in layer
+    k, for s = 1..m with m = mult_u(lam), so their class is ``(wt theta, deg
+    theta)`` in ``H.lower[u]``; for a member ``(theta, u)`` with a part k the
+    roles swap, and its class ``(u, wt theta, deg theta, mult_k theta)`` in
+    ``H.upper[k]`` fixes m as well.  Either way the s-th constituent lies in
+    the cell ``(w + s dw, d + s dd, layer)`` from a start ``(w, d)``, so the
+    walk steps each class's m cells, three ints each, in place, charged when
+    the class is taken, in the order of ``H``'s sorted indexes.  A class is
+    four ints at most, so the classes grow polynomially with the bound, where
+    the partners grow like a partition count.  A basis that is not a union of
+    cells is refused with a ``ValueError``, as ``check_candidates`` refuses a
+    lossy one.
     """
     check_key(key, H.n)
-    cells, bound = H.cells, H.closure_bound
+    if not H.cell_union:
+        raise ValueError(_NOT_CELL_UNION)
+    cells, bound, lossy = H.cells, H.closure_bound, H.discards > 0
+    lam, k = key
+    w0, d0 = weight_of(lam), sum(lam)
     any_unknown = False
-    for w, d, dw, dd, layer, m in _partner_classes(key, H):
+    for u, m in enumerate(lam, 1):
+        if m:
+            for tw, td in H.lower.get(u, ()):
+                charge(m)
+                dw, dd = tw - u, td - 1
+                w, d = w0, d0
+                for _ in range(m):
+                    w += dw
+                    d += dd
+                    if (w, d, k) in cells:
+                        continue
+                    if lossy:
+                        return None  # no escape can be conclusive against a lossy basis
+                    if w > bound:
+                        any_unknown = True
+                    else:
+                        return False
+    dw, dd = w0 - k, d0 - 1
+    for u, w, d, m in H.upper.get(k, ()):
         charge(m)
         for _ in range(m):
             w += dw
             d += dd
-            if (w, d, layer) in cells:
+            if (w, d, u) in cells:
                 continue
-            if H.discards > 0:
-                return None  # no escape can be conclusive against a lossy basis
+            if lossy:
+                return None
             if w > bound:
                 any_unknown = True
             else:
@@ -654,21 +667,35 @@ def idealizes(key: Key, H: SaturatedSet) -> bool:
     derivative along the lower layer.  The bracket with a partner is the
     s = 1 constituent of the commutator, with the coefficient
     ``mult_u(lam)`` or ``-mult_k(theta)``, never 0, so the walk looks up the
-    first cell of each of ``_partner_classes`` and charges the classes it
-    took.  Like ``normalizes``, it refuses a basis
+    first cell of each partner class, in the order ``normalizes`` takes them,
+    and charges the classes it took.  Like ``normalizes``, it refuses a basis
     that is not a union of cells, where a cell would not decide a bracket,
     and a bad key, such as one outside ``W_n``, for which the walk would not
     be exact.
     """
     check_key(key, H.n)
+    if not H.cell_union:
+        raise ValueError(_NOT_CELL_UNION)
     cells = H.cells
-    verdict, calls = True, 0
-    for calls, (w, d, dw, dd, layer, _) in enumerate(_partner_classes(key, H), 1):
-        if (w + dw, d + dd, layer) not in cells:
-            verdict = False
-            break
-    charge(calls)  # after the fact: at most one call per partner class of ``key``
-    return verdict
+    lam, k = key
+    w, d1 = weight_of(lam), sum(lam) - 1
+    calls = 0
+    for u, m in enumerate(lam, 1):
+        if m:
+            wu = w - u
+            for tw, td in H.lower.get(u, ()):
+                calls += 1
+                if (wu + tw, d1 + td, k) not in cells:
+                    charge(calls)  # after the fact: at most one call per partner class of ``key``
+                    return False
+    wk = w - k
+    for u, tw, td, _ in H.upper.get(k, ()):
+        calls += 1
+        if (tw + wk, td + d1, u) not in cells:
+            charge(calls)
+            return False
+    charge(calls)
+    return True
 
 
 def center_membership(g: GroupElement, alpha: OrdinalCNF) -> bool:
@@ -711,24 +738,29 @@ def witness_survivors(closure: SaturatedSet, target: Iterable[Key]) -> List[Key]
     ``mu + e_u`` for its top part u and a member ``(mu, k)``, so it is built
     once, from that member, and its other removals are looked up by
     multiplicities; the members and the bound limit that to at most one build
-    per candidate, which ``candidate_count`` has charged.
+    per candidate, which ``candidate_count`` has charged.  Each survivor is
+    weighed once, a target key when it is read and ``mu + e_u`` as wt mu + u,
+    and the sort by layer, weight and multiplicities reads those weights.
     """
     bound = closure.closure_bound
-    found = {b for b in target if weight_of(b[0]) <= bound}
+    found: Dict[Key, int] = {}  # each survivor and its weight
+    for b in target:
+        w = weight_of(b[0])
+        if w <= bound:
+            found[b] = w
     for k, members in closure.by_layer.items():
         held = {m for m, _ in members}
-        found.add(((), k))
+        found[(), k] = 0
         for m in held:
-            top = len(m)
-            for u in range(max(top, 1), min(k - 1, bound - weight_of(m)) + 1):
+            top, w = len(m), weight_of(m)
+            for u in range(max(top, 1), min(k - 1, bound - w) + 1):
                 lam = m[:-1] + (m[-1] + 1,) if u == top else m + (0,) * (u - top - 1) + (1,)
-                if all(
-                    lam[:v - 1] + (c - 1,) + lam[v:] in held
-                    for v, c in enumerate(lam[:u - 1], 1)
-                    if c
-                ):
-                    found.add((lam, k))
-    return sorted(found, key=lambda b: (b[1], weight_of(b[0]), b[0]))
+                for v, c in enumerate(lam[:u - 1], 1):
+                    if c and lam[:v - 1] + (c - 1,) + lam[v:] not in held:
+                        break
+                else:
+                    found[lam, k] = w + u
+    return sorted(found, key=lambda b: (b[1], found[b], b[0]))
 
 
 @dataclass

@@ -777,6 +777,19 @@ def test_normalizes_looks_up_every_constituent_cell_of_a_class():
     assert idealizes(b, H) is True and key_walk_idealizes(b, H) is True
 
 
+def test_normalizes_stops_at_the_constituent_cell_that_escapes():
+    # above the layer of x1^3 D2, the member x2^2 D3 has the constituents
+    # x1^3 x2 D3, a member, and x1^6 D3, out of the basis; its class comes
+    # before that of x1^3 x2 D3, whose one constituent is x1^6 D3 as well, so
+    # a walk that stopped short of a class's m-th cell would charge 2 + 1
+    b, partner = key([1, 1, 1], 2), key([2, 2], 3)
+    H = SaturatedSet(3, [partner, key([2, 1, 1, 1], 3)], 10)
+    assert H.cell_union and H.upper[2] == [(3, 4, 2, 2), (3, 5, 4, 1)]
+    assert list(constituent_keys(b, partner)) == [key([2, 1, 1, 1], 3), key([1] * 6, 3)]
+    assert spent(normalizes, b, H) == (False, 2)
+    assert key_walk_normalizes(b, H) is False
+
+
 def test_generator_sets_are_unions_of_cells():
     # every key of a cell (weight, degree, layer) of a generator set is in it:
     # here by enumerating the partitions of each cell, in SaturatedSet by one table
@@ -886,6 +899,21 @@ def test_chain_steps_and_their_units_are_pinned_through_n8():
     )
 
 
+def test_deep_chain_steps_and_their_units_are_pinned():
+    # SHA-256 as above at bounds where classes with m > 1 and many survivors
+    # occur, recorded before the verdicts walked their classes inline; (8, 40)
+    # charges 5,542,401 units, more than one command's budget
+    rows = []
+    for n, i in ((8, 30), (4, 60), (8, 40), (4, 80)):
+        with WorkBudget() as budget:
+            budget.limit = budget.left = 10 ** 9
+            step = check_chain_step(n, i)
+        rows.append(repr((astuple(step), budget.limit - budget.left)))
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "b05e602d55b36607f016aa9d2eb76cfa19db95a6fb111199be5cfd3d19f1a600"
+    )
+
+
 # -- the witness-pruned sweep against the full sweep --------------------------------
 
 
@@ -975,12 +1003,59 @@ def test_witness_survivors_keep_every_target_key_within_the_bound():
     assert survivors == [b for b in candidate_keys(4, bound) if b in set(survivors)]
 
 
-def test_check_candidates_refuses_a_lossy_basis():
+def key_witness_survivors(closure, target):
+    """``witness_survivors`` as a set of keys, each weighed again to sort it,
+    with ``all`` over the removals of each built key: the oracle of the
+    survivors and their order."""
+    bound = closure.closure_bound
+    found = {b for b in target if weight_of(b[0]) <= bound}
+    for k, members in closure.by_layer.items():
+        held = {m for m, _ in members}
+        found.add(((), k))
+        for m in held:
+            top = len(m)
+            for u in range(max(top, 1), min(k - 1, bound - weight_of(m)) + 1):
+                lam = m[:-1] + (m[-1] + 1,) if u == top else m + (0,) * (u - top - 1) + (1,)
+                if all(
+                    lam[:v - 1] + (c - 1,) + lam[v:] in held
+                    for v, c in enumerate(lam[:u - 1], 1)
+                    if c
+                ):
+                    found.add((lam, k))
+    return sorted(found, key=lambda b: (b[1], weight_of(b[0]), b[0]))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_witness_survivors_match_the_key_oracle(n):
+    for i in range(1, 13):
+        H, target = step_basis(n, i)
+        assert witness_survivors(H, target) == key_witness_survivors(H, target), (n, i)
+
+
+@pytest.mark.parametrize("n, i", [(8, 30), (4, 60)])
+def test_witness_survivors_match_the_key_oracle_deep_in_the_chain(n, i):
+    H, target = step_basis(n, i)
+    assert witness_survivors(H, target) == key_witness_survivors(H, target)
+
+
+def lossy_bases():
+    """A closure that discarded constituents, and a basis marked lossy."""
     gens = enumerate_N(-1, 3).union([key([1, 1, 1], 2), key([2, 2], 3)])
     closure = saturated_closure(gens, 4, n=3)
+    lossy = SaturatedSet(n=3, keys=enumerate_N(0, 3), closure_bound=6, discards=1)
+    return closure, lossy
+
+
+def test_witness_survivors_match_the_key_oracle_on_lossy_bases():
+    for basis in lossy_bases():
+        for target in ((), basis.keys, enumerate_N(1, 3)):
+            assert witness_survivors(basis, target) == key_witness_survivors(basis, target)
+
+
+def test_check_candidates_refuses_a_lossy_basis():
+    closure, lossy = lossy_bases()
     assert (len(closure), closure.discards) == (14, 3)
     # on a lossy basis an escape is unknown: the witness would call this one refuted
-    lossy = SaturatedSet(n=3, keys=enumerate_N(0, 3), closure_bound=6, discards=1)
     refuted = key([1, 1, 1], 3)
     assert refuted not in witness_survivors(lossy, ()) and normalizes(refuted, lossy) is None
     for basis in (closure, lossy):

@@ -3,7 +3,8 @@ other integer arguments, and immutability."""
 
 import pytest
 
-from hyperwreath.chains import SaturatedSet, enumerate_N, idealizes, normalizes, saturated_closure
+from hyperwreath.chains import (SaturatedSet, check_key, enumerate_N, idealizes, normalizes,
+                                saturated_closure)
 from hyperwreath.liering import LieElement, parse_lie
 from hyperwreath.ordinals import OrdinalCNF, tdeg_of_monomial
 from hyperwreath.partitions import EMPTY, Partition, check_layer
@@ -89,6 +90,39 @@ NON_CANONICAL = {
 def test_every_chain_entry_point_refuses_a_non_canonical_key(entry, case):
     with pytest.raises(ValueError, match="no trailing zero"):
         KEY_ENTRIES[entry](NON_CANONICAL[case])
+
+
+def all_check_key(key, n):
+    """``check_key`` with ``all`` over a generator of its entries, the oracle
+    of its loop."""
+    mults, k = key
+    if type(mults) is not tuple or mults[-1:] == (0,) or not all(
+            isinstance(v, int) and v >= 0 for v in mults):
+        raise ValueError(f"key multiplicities must be non-negative ints with no trailing zero, "
+                         f"in a tuple, got {mults!r}")
+    check_layer(k, n, len(mults))
+
+
+@pytest.mark.parametrize("case", list(NON_CANONICAL) + list(BAD))
+def test_check_key_refuses_as_its_oracle_does(case):
+    if case in BAD:
+        k, top = BAD[case]
+        bad = (lam(top).mults, k)
+    else:
+        bad = NON_CANONICAL[case]
+    with pytest.raises(ValueError) as want:
+        all_check_key(bad, N)
+    with pytest.raises(ValueError) as got:
+        check_key(bad, N)
+    assert str(got.value) == str(want.value)
+
+
+def test_check_key_accepts_every_generator_as_its_oracle_does():
+    for i, n in ((12, 8), (40, 4)):
+        keys = enumerate_N(i, n)
+        assert len(keys) > 100
+        for key in keys:
+            assert check_key(key, n) is None and all_check_key(key, n) is None
 
 
 def test_a_huge_variable_index_is_refused_before_parsing():
